@@ -71,9 +71,11 @@ def init_masa_params(config: MaSAConfig, rng: np.random.Generator,
                       lce_kernel_weights=w(d, k, k))
 
 
-def _check_qkv(q: Tensor, k: Tensor, v: Tensor) -> tuple[int, int]:
+def _check_qkv(q: Tensor, k: Tensor, v: Tensor, grid: GridShape | None = None) -> tuple[int, int]:
     if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
         raise DimensionError(f"q, k, v must share one [L, d] shape, got {q.shape}, {k.shape}, {v.shape}")
+    if grid is not None and q.shape[0] != grid.size:
+        raise DimensionError(f"{q.shape[0]} tokens do not fill a {grid.height}x{grid.width} grid")
     return q.shape
 
 
@@ -107,6 +109,41 @@ def bi_retention(q: Tensor, k: Tensor, v: Tensor, gamma: float) -> Tensor:
     return matmul(hadamard(matmul(q, transpose(k)), d_bi), v)
 
 
+def _attend(q: Tensor, k: Tensor, v: Tensor, decay: Tensor | None, scale: float | None) -> Tensor:
+    """The MaSA step over the last two axes, any leading axes batched: softmax of the
+    (scaled) logits q k^T, times the decay entrywise without renormalizing, applied to v.
+    """
+    n = k.ndim
+    logits = matmul(q, transpose(k, tuple(range(n - 2)) + (n - 1, n - 2)))
+    if scale is not None:
+        logits = mul_scalar(logits, scale)
+    weights = softmax_last(logits)
+    if decay is not None:
+        weights = hadamard(weights, decay)
+    return matmul(weights, v)
+
+
+def _swap_grid_axes(t: Tensor) -> Tensor:
+    """[..., H, W, d] -> [..., W, H, d]."""
+    n = t.ndim
+    return transpose(t, tuple(range(n - 3)) + (n - 2, n - 3, n - 1))
+
+
+def _axis_pass(q: Tensor, k: Tensor, v: Tensor, decay: Tensor | None, scale: float | None) -> Tensor:
+    """``_attend`` along W within each row of [..., H, W, d] tokens, returned as [..., W, H, d]."""
+    return _swap_grid_axes(_attend(q, k, v, decay, scale))
+
+
+def _decomposed(q: Tensor, k: Tensor, v: Tensor, d_h: Tensor | None, d_w: Tensor | None,
+                scale: float | None) -> Tensor:
+    """Width pass per row, then height pass per column, of [..., H, W, d] tokens.
+
+    Returns [..., W, H, d]; the caller's own transpose restores the grid order.
+    """
+    mixed = _axis_pass(q, k, v, d_w, scale)
+    return _attend(_swap_grid_axes(q), _swap_grid_axes(k), mixed, d_h, scale)
+
+
 def masa_full(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
               gamma: float | None, *, scale: bool = True) -> Tensor:
     """Softmax attention with a Manhattan decay prior over a 2D token grid.
@@ -116,16 +153,9 @@ def masa_full(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
     skips the decay entirely (plain softmax attention). ``scale`` divides the
     logits by sqrt(d) before the softmax.
     """
-    n_tokens, d = _check_qkv(q, k, v)
-    if n_tokens != grid.size:
-        raise DimensionError(f"{n_tokens} tokens do not fill a {grid.height}x{grid.width} grid")
-    logits = matmul(q, transpose(k))
-    if scale:
-        logits = mul_scalar(logits, 1.0 / math.sqrt(d))
-    weights = softmax_last(logits)
-    if gamma is not None:
-        weights = hadamard(weights, decay_manhattan_2d(grid, gamma))
-    return matmul(weights, v)
+    _, d = _check_qkv(q, k, v, grid)
+    decay = decay_manhattan_2d(grid, gamma) if gamma is not None else None
+    return _attend(q, k, v, decay, 1.0 / math.sqrt(d) if scale else None)
 
 
 def masa_decomposed(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
@@ -137,35 +167,11 @@ def masa_decomposed(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
     the full form is preserved; with uniform attention weights the two forms
     coincide.
     """
-    n_tokens, d = _check_qkv(q, k, v)
-    if n_tokens != grid.size:
-        raise DimensionError(f"{n_tokens} tokens do not fill a {grid.height}x{grid.width} grid")
-    h, w = grid.height, grid.width
-    if gamma is not None:
-        d_h, d_w = decay_axial_pair(grid, gamma)
-    q3 = reshape(q, (h, w, d))
-    k3 = reshape(k, (h, w, d))
-    v3 = reshape(v, (h, w, d))
-    inv_sqrt_d = 1.0 / math.sqrt(d)
-
-    logits_w = matmul(q3, transpose(k3, (0, 2, 1)))          # [H, W, W]
-    if scale:
-        logits_w = mul_scalar(logits_w, inv_sqrt_d)
-    attn_w = softmax_last(logits_w)
-    if gamma is not None:
-        attn_w = hadamard(attn_w, d_w)
-    mixed = matmul(attn_w, v3)                               # [H, W, d]
-
-    qc = transpose(q3, (1, 0, 2))
-    kc = transpose(k3, (1, 0, 2))
-    logits_h = matmul(qc, transpose(kc, (0, 2, 1)))          # [W, H, H]
-    if scale:
-        logits_h = mul_scalar(logits_h, inv_sqrt_d)
-    attn_h = softmax_last(logits_h)
-    if gamma is not None:
-        attn_h = hadamard(attn_h, d_h)
-    out = matmul(attn_h, transpose(mixed, (1, 0, 2)))        # [W, H, d]
-    return reshape(transpose(out, (1, 0, 2)), (n_tokens, d))
+    n_tokens, d = _check_qkv(q, k, v, grid)
+    d_h, d_w = decay_axial_pair(grid, gamma) if gamma is not None else (None, None)
+    q3, k3, v3 = (reshape(t, (grid.height, grid.width, d)) for t in (q, k, v))
+    out = _decomposed(q3, k3, v3, d_h, d_w, 1.0 / math.sqrt(d) if scale else None)
+    return reshape(_swap_grid_axes(out), (n_tokens, d))
 
 
 def lce(v: Tensor, grid: GridShape, kernel: Tensor) -> Tensor:
@@ -184,35 +190,36 @@ def masa_layer_forward(x: Tensor, params: MaSAParams, config: MaSAConfig,
                        grid: GridShape) -> Tensor:
     """Multi-head Manhattan attention layer.
 
-    Projects Q, K, V, runs each head with its own decay rate (full or
-    decomposed per the config), concatenates the heads, adds the depthwise
-    local-context term of the undivided V, and applies the output projection
-    to the sum.
+    Projects Q, K, V and splits the channels into heads that run as one batch
+    axis, each with its own decay rate: the per-head decay matrices are
+    stacked and broadcast over the batch, so no head is sliced out and no
+    head output is concatenated. The mode (full or decomposed) follows the
+    config. The depthwise local-context term of the undivided V is added to
+    the merged heads, and the output projection is applied to the sum.
     """
     dim = config.dim
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise DimensionError(f"expected [N, {dim}] tokens, got {x.shape}")
-    for name, wt in (("wq", params.wq), ("wk", params.wk), ("wv", params.wv), ("wo", params.wo)):
-        if wt.shape != (dim, dim):
-            raise ConfigurationError(f"{name} must have shape ({dim}, {dim}), got {wt.shape}")
-    k_sz = config.lce_kernel
-    if params.lce_kernel_weights.shape != (dim, k_sz, k_sz):
-        raise ConfigurationError(
-            f"lce kernel must have shape ({dim}, {k_sz}, {k_sz}), got {params.lce_kernel_weights.shape}")
+    if x.shape != (grid.size, dim):
+        raise DimensionError(f"expected [{grid.size}, {dim}] tokens for the grid, got {x.shape}")
+    square, k_sz = (dim, dim), config.lce_kernel
+    for name, shape in (("wq", square), ("wk", square), ("wv", square), ("wo", square),
+                        ("lce_kernel_weights", (dim, k_sz, k_sz))):
+        if getattr(params, name).shape != shape:
+            raise ConfigurationError(f"{name} must have shape {shape}, got {getattr(params, name).shape}")
 
-    q = matmul(x, params.wq)
-    k = matmul(x, params.wk)
-    v = matmul(x, params.wv)
-
-    head = masa_decomposed if config.decomposed else masa_full
-    hd = config.head_dim
-    heads = []
-    for i in range(config.num_heads):
-        qi = slice_axis(q, 1, i * hd, (i + 1) * hd)
-        ki = slice_axis(k, 1, i * hd, (i + 1) * hd)
-        vi = slice_axis(v, 1, i * hd, (i + 1) * hd)
-        heads.append(head(qi, ki, vi, grid, config.decay.gammas[i]))
-    attn = concat(heads, axis=1)
+    q, k, v = (matmul(x, wt) for wt in (params.wq, params.wk, params.wv))
+    heads, hd, gammas = config.num_heads, config.head_dim, config.decay.gammas
+    scale = 1.0 / math.sqrt(hd)
+    if config.decomposed:
+        h, w = grid.height, grid.width
+        qh, kh, vh = (transpose(reshape(t, (h, w, heads, hd)), (2, 0, 1, 3)) for t in (q, k, v))
+        d_h = Tensor(np.stack([decay_bidirectional_1d(h, g).data for g in gammas])[:, None])
+        d_w = Tensor(np.stack([decay_bidirectional_1d(w, g).data for g in gammas])[:, None])
+        out = transpose(_decomposed(qh, kh, vh, d_h, d_w, scale), (2, 1, 0, 3))
+    else:
+        qh, kh, vh = (transpose(reshape(t, (grid.size, heads, hd)), (1, 0, 2)) for t in (q, k, v))
+        decay = Tensor(np.stack([decay_manhattan_2d(grid, g).data for g in gammas]))
+        out = transpose(_attend(qh, kh, vh, decay, scale), (1, 0, 2))
+    attn = reshape(out, (grid.size, dim))
     return matmul(attn + lce(v, grid, params.lce_kernel_weights), params.wo)
 
 

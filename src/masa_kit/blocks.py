@@ -15,11 +15,13 @@ mutates parameters exclusively.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .attention import MaSAConfig, MaSAParams, attention_score_apply_macs, lce, masa_layer_forward
+from .attention import (MaSAConfig, MaSAParams, attention_score_apply_macs, init_masa_params,
+                        lce, masa_layer_forward)
 from .decay import GridShape, gamma_schedule
 from .errors import ConfigurationError, DimensionError
 from .tensor import (Tensor, add, add_scalar, conv2d, gelu, hadamard, matmul, mean_axes,
@@ -50,10 +52,12 @@ class StageConfig:
     def __post_init__(self) -> None:
         if self.num_blocks < 1:
             raise ConfigurationError(f"a stage needs at least one block, got {self.num_blocks}")
+        if self.heads < 1:
+            raise ConfigurationError(f"a stage needs at least one head, got {self.heads}")
         if self.channels % self.heads:
             raise ConfigurationError(f"channels {self.channels} not divisible by heads {self.heads}")
         hidden = self.ffn_ratio * self.channels
-        if hidden <= 0 or abs(hidden - round(hidden)) > 1e-9:
+        if not np.isfinite(hidden) or hidden <= 0 or abs(hidden - round(hidden)) > 1e-9:
             raise ConfigurationError(
                 f"ffn_ratio {self.ffn_ratio} times channels {self.channels} must be a positive integer")
 
@@ -73,9 +77,7 @@ class ModelConfig:
             raise ConfigurationError(f"the backbone has exactly four stages, got {len(self.stages)}")
         if self.num_classes < 1:
             raise ConfigurationError(f"num_classes must be positive, got {self.num_classes}")
-        if self.input_resolution % 4:
-            raise ConfigurationError(
-                f"input resolution must be divisible by 4, got {self.input_resolution}")
+        stage_grids(self, self.input_resolution)
         if self.stages[0].channels % 2:
             raise ConfigurationError("stage-1 channels must be even for the stem")
 
@@ -96,19 +98,32 @@ class ModelConfig:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ModelConfig":
+        """Parse a config document; a missing key or a bad value raises ``ConfigurationError``."""
         stages = tuple(
-            StageConfig(num_blocks=int(s["blocks"]), channels=int(s["channels"]),
-                        heads=int(s["heads"]), ffn_ratio=float(s["ffn_ratio"]),
-                        decay_lower=float(s["decay_a"]), decay_upper=float(s["decay_b"]),
-                        decomposed=bool(s["decomposed"]))
-            for s in doc["stages"]
+            StageConfig(num_blocks=_field(s, "blocks", int), channels=_field(s, "channels", int),
+                        heads=_field(s, "heads", int), ffn_ratio=_field(s, "ffn_ratio", float),
+                        decay_lower=_field(s, "decay_a", float), decay_upper=_field(s, "decay_b", float),
+                        decomposed=_field(s, "decomposed", bool))
+            for s in _field(doc, "stages", list)
         )
-        return ModelConfig(stages=stages, num_classes=int(doc["num_classes"]),
-                           input_resolution=int(doc["input_resolution"]))
+        return ModelConfig(stages=stages, num_classes=_field(doc, "num_classes", int),
+                           input_resolution=_field(doc, "input_resolution", int))
 
     @staticmethod
     def from_json(text: str) -> "ModelConfig":
         return ModelConfig.from_json_dict(json.loads(text))
+
+
+def _field(doc, key: str, kind: type):
+    """``kind(doc[key])``, naming the key in the error when it is missing or bad."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"expected a JSON object holding {key!r}, got {type(doc).__name__}")
+    if key not in doc:
+        raise ConfigurationError(f"missing key {key!r}")
+    try:
+        return kind(doc[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"key {key!r} must be {kind.__name__}, got {doc[key]!r}") from None
 
 
 # Named presets: blocks, channels, heads, ffn ratios, decay exponent ranges.
@@ -190,21 +205,23 @@ class Model:
     head_weight: Tensor
     head_bias: Tensor
 
+    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
+        """Each parameter with its dotted field path, e.g. ``stages.1.0.masa.wq``."""
+        return _named_tensors("", self)
+
     def parameters(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for conv, norm in zip(self.stem.convs, self.stem.norms):
-            out += [conv.weight, conv.bias, norm.gain, norm.bias]
-        for stage in self.stages:
-            for b in stage:
-                out += [b.cpe_kernel, b.norm1.gain, b.norm1.bias,
-                        b.masa.wq, b.masa.wk, b.masa.wv, b.masa.wo,
-                        b.masa.lce_kernel_weights,
-                        b.norm2.gain, b.norm2.bias,
-                        b.ffn_w1, b.ffn_b1, b.ffn_w2, b.ffn_b2]
-        for ds in self.downsamples:
-            out += [ds.weight, ds.bias]
-        out += [self.head_weight, self.head_bias]
-        return out
+        return [p for _, p in self.named_parameters()]
+
+
+def _named_tensors(prefix: str, value) -> Iterator[tuple[str, Tensor]]:
+    if isinstance(value, Tensor):
+        yield prefix, value
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _named_tensors(f"{prefix}.{i}", item)
+    elif is_dataclass(value):
+        for f in fields(value):
+            yield from _named_tensors(f"{prefix}.{f.name}" if prefix else f.name, getattr(value, f.name))
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +350,7 @@ def build_backbone(config: ModelConfig, seed: int) -> Model:
             blocks.append(BlockParams(
                 cpe_kernel=w(c, CPE_KERNEL, CPE_KERNEL),
                 norm1=NormParams(gain=ones(c), bias=zeros(c)),
-                masa=MaSAParams(wq=w(c, c), wk=w(c, c), wv=w(c, c), wo=w(c, c),
-                                lce_kernel_weights=w(c, LCE_KERNEL, LCE_KERNEL)),
+                masa=init_masa_params(masa_configs[-1], rng),
                 norm2=NormParams(gain=ones(c), bias=zeros(c)),
                 ffn_w1=w(c, hidden), ffn_b1=zeros(hidden),
                 ffn_w2=w(hidden, c), ffn_b2=zeros(c)))
@@ -379,29 +395,11 @@ def count_params(model: Model) -> int:
 
 
 def count_params_analytic(config: ModelConfig) -> int:
-    """Parameter count computed from the configuration alone.
+    """Parameter count from the configuration alone: the ``flops_by_stage`` rows summed.
 
     Matches ``count_params(build_backbone(config, seed))`` exactly.
     """
-    total = 0
-    for cin, cout in _stem_channel_plan(config.stages[0].channels):
-        total += cout * cin * STEM_KERNEL ** 2 + cout    # conv weight + bias
-        total += 2 * cout                                # norm gain + bias
-    for sc in config.stages:
-        c, hidden = sc.channels, sc.ffn_hidden
-        per_block = (c * CPE_KERNEL ** 2            # cpe kernel
-                     + 2 * c                        # norm1
-                     + 4 * c * c                    # q, k, v, o projections
-                     + c * LCE_KERNEL ** 2          # lce kernel
-                     + 2 * c                        # norm2
-                     + c * hidden + hidden          # ffn in
-                     + hidden * c + c)              # ffn out
-        total += sc.num_blocks * per_block
-    for i in range(3):
-        total += (config.stages[i + 1].channels * config.stages[i].channels
-                  * DOWNSAMPLE_KERNEL ** 2 + config.stages[i + 1].channels)
-    total += config.stages[3].channels * config.num_classes + config.num_classes
-    return total
+    return sum(row["params"] for row in flops_by_stage(config, config.input_resolution))
 
 
 def _conv_out(side: int, kernel: int, stride: int, padding: int) -> int:
@@ -410,79 +408,62 @@ def _conv_out(side: int, kernel: int, stride: int, padding: int) -> int:
 
 def stage_grids(config: ModelConfig, resolution: int) -> list[GridShape]:
     """Token grid entering each stage: side R/4, then halved between stages."""
-    if resolution % 4:
-        raise ConfigurationError(f"resolution must be divisible by 4, got {resolution}")
-    side = resolution
-    for stride in STEM_STRIDES:
-        side = _conv_out(side, STEM_KERNEL, stride, 1)
-    grids = [GridShape(side, side)]
-    for _ in range(3):
-        if side % 2:
-            raise ConfigurationError(f"grid side {side} is odd; resolution {resolution} cannot downsample")
-        side = _conv_out(side, DOWNSAMPLE_KERNEL, 2, 1)
-        grids.append(GridShape(side, side))
-    return grids
-
-
-def _stage_block_macs(sc: StageConfig, grid: GridShape) -> int:
-    n, c = grid.size, sc.channels
-    mode = "decomposed" if sc.decomposed else "full"
-    attn = sc.heads * attention_score_apply_macs(mode, grid.height, grid.width, c // sc.heads)
-    return (n * c * CPE_KERNEL ** 2             # cpe depthwise conv
-            + 4 * n * c * c                     # q, k, v, o projections
-            + attn
-            + n * c * LCE_KERNEL ** 2           # lce depthwise conv
-            + 2 * n * c * sc.ffn_hidden)        # ffn matmuls
+    if resolution < 32 or resolution % 32:
+        raise ConfigurationError(f"resolution must be a positive multiple of 32 so the R/4 grid "
+                                 f"halves three times, got {resolution}")
+    side = resolution // 4
+    return [GridShape(side // 2 ** i, side // 2 ** i) for i in range(4)]
 
 
 def count_flops(config: ModelConfig, resolution: int) -> int:
-    """Analytic multiply-accumulate count for one forward pass (one MAC = one FLOP).
+    """Analytic multiply-accumulate count for one forward pass: the ``flops_by_stage`` rows summed.
 
-    Counts matmul and convolution MACs only; normalization, softmax, decay
-    weighting, and activations are elementwise and excluded. Matches the
+    One MAC = one FLOP. Counts matmul and convolution MACs only; normalization, softmax,
+    decay weighting, and activations are elementwise and excluded. Matches the
     runtime-instrumented count of ``forward_classify`` exactly.
     """
-    total = 0
-    side = resolution
-    for (cin, cout), stride in zip(_stem_channel_plan(config.stages[0].channels), STEM_STRIDES):
-        side = _conv_out(side, STEM_KERNEL, stride, 1)
-        total += cout * side * side * cin * STEM_KERNEL ** 2
-    grids = stage_grids(config, resolution)
-    for i, sc in enumerate(config.stages):
-        total += sc.num_blocks * _stage_block_macs(sc, grids[i])
-        if i < 3:
-            g = grids[i + 1]
-            total += config.stages[i + 1].channels * g.size * sc.channels * DOWNSAMPLE_KERNEL ** 2
-    total += config.stages[3].channels * config.num_classes
-    return total
+    return sum(row["macs"] for row in flops_by_stage(config, resolution))
 
 
 def flops_by_stage(config: ModelConfig, resolution: int) -> list[dict]:
-    """Per-section MAC and parameter breakdown used by the stats report."""
-    rows = []
-    stem_macs = 0
+    """Per-section MAC and parameter breakdown: stem, four stages, head.
+
+    The one accounting table; ``count_flops`` and ``count_params_analytic``
+    sum its rows. Each stage row includes the downsample that follows it.
+    """
+    grids = stage_grids(config, resolution)
+    stem_params = stem_macs = 0
     side = resolution
-    stem_params = 0
     for (cin, cout), stride in zip(_stem_channel_plan(config.stages[0].channels), STEM_STRIDES):
         side = _conv_out(side, STEM_KERNEL, stride, 1)
+        stem_params += cout * cin * STEM_KERNEL ** 2 + 3 * cout  # conv weight + bias, norm gain + bias
         stem_macs += cout * side * side * cin * STEM_KERNEL ** 2
-        stem_params += cout * cin * STEM_KERNEL ** 2 + 3 * cout
-    rows.append({"section": "stem", "grid": f"{side}x{side}", "params": stem_params, "macs": stem_macs})
-    grids = stage_grids(config, resolution)
+    rows = [{"section": "stem", "grid": f"{side}x{side}", "params": stem_params, "macs": stem_macs}]
     for i, sc in enumerate(config.stages):
-        c, hidden = sc.channels, sc.ffn_hidden
-        per_block_params = (c * CPE_KERNEL ** 2 + 2 * c + 4 * c * c + c * LCE_KERNEL ** 2
-                            + 2 * c + c * hidden + hidden + hidden * c + c)
-        params = sc.num_blocks * per_block_params
-        macs = sc.num_blocks * _stage_block_macs(sc, grids[i])
+        n, c, hidden = grids[i].size, sc.channels, sc.ffn_hidden
+        mode = "decomposed" if sc.decomposed else "full"
+        block_params = (c * CPE_KERNEL ** 2             # cpe kernel
+                        + 2 * c                         # norm1
+                        + 4 * c * c                     # q, k, v, o projections
+                        + c * LCE_KERNEL ** 2           # lce kernel
+                        + 2 * c                         # norm2
+                        + c * hidden + hidden           # ffn in
+                        + hidden * c + c)               # ffn out
+        block_macs = (n * c * CPE_KERNEL ** 2           # cpe depthwise conv
+                      + 4 * n * c * c                   # q, k, v, o projections
+                      + sc.heads * attention_score_apply_macs(
+                          mode, grids[i].height, grids[i].width, c // sc.heads)
+                      + n * c * LCE_KERNEL ** 2         # lce depthwise conv
+                      + 2 * n * c * hidden)             # ffn matmuls
+        params, macs = sc.num_blocks * block_params, sc.num_blocks * block_macs
         if i < 3:
-            g = grids[i + 1]
-            params += (config.stages[i + 1].channels * sc.channels * DOWNSAMPLE_KERNEL ** 2
-                       + config.stages[i + 1].channels)
-            macs += config.stages[i + 1].channels * g.size * sc.channels * DOWNSAMPLE_KERNEL ** 2
+            c_next = config.stages[i + 1].channels
+            params += c_next * c * DOWNSAMPLE_KERNEL ** 2 + c_next
+            macs += c_next * grids[i + 1].size * c * DOWNSAMPLE_KERNEL ** 2
         rows.append({"section": f"stage{i + 1}", "grid": f"{grids[i].height}x{grids[i].width}",
                      "params": params, "macs": macs})
-    head_params = config.stages[3].channels * config.num_classes + config.num_classes
+    c_last = config.stages[3].channels
     rows.append({"section": "head", "grid": "1x1",
-                 "params": head_params, "macs": config.stages[3].channels * config.num_classes})
+                 "params": c_last * config.num_classes + config.num_classes,
+                 "macs": c_last * config.num_classes})
     return rows

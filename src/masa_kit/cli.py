@@ -21,7 +21,7 @@ import numpy as np
 
 from . import attention, blocks, decay, train
 from ._threads import WORKERS as _WORKERS
-from .errors import MasaKitError
+from .errors import ConfigurationError, MasaKitError
 from .tensor import Tensor, count_macs
 
 MAX_BENCH_SIDE = 96
@@ -90,9 +90,13 @@ def cmd_dump_decay(args: argparse.Namespace) -> int:
 
 
 def _resolve_config(args: argparse.Namespace) -> blocks.ModelConfig:
-    if args.config:
-        return blocks.ModelConfig.from_json(Path(args.config).read_text())
-    return blocks.preset_config(args.preset)
+    if not args.config:
+        return blocks.preset_config(args.preset)
+    path = Path(args.config)
+    try:
+        return blocks.ModelConfig.from_json(path.read_text())
+    except (OSError, ValueError) as exc:  # unreadable, not JSON, or a ConfigurationError
+        raise ConfigurationError(f"model config {path}: {exc}") from exc
 
 
 def cmd_model_stats(args: argparse.Namespace) -> int:
@@ -121,9 +125,14 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     for mode in modes:
         if mode not in _BENCH_KERNELS:
             raise MasaKitError(f"unknown mode {mode!r}; choose from {', '.join(sorted(_BENCH_KERNELS))}")
-    sides = [int(s) for s in args.sides.split(",") if s.strip()]
+    try:
+        sides = [int(s) for s in args.sides.split(",") if s.strip()]
+    except ValueError:
+        raise MasaKitError(f"--sides must be comma-separated integers, got {args.sides!r}") from None
     if any(s < 2 for s in sides):
         raise MasaKitError("benchmark sides must be at least 2")
+    if args.head_dim < 1:
+        raise MasaKitError(f"--head-dim must be positive, got {args.head_dim}")
     if args.repeats < 3:
         raise MasaKitError(f"need at least 3 repeats for a stable median, got {args.repeats}")
     capped = [min(s, MAX_BENCH_SIDE) for s in sides]

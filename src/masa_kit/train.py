@@ -161,9 +161,9 @@ def init_train_state(model_config: ModelConfig, data_config: DataConfig, steps: 
 
 
 def _check_params_finite(state: TrainState) -> None:
-    for p in state.params:
+    for name, p in state.model.named_parameters():
         if not np.isfinite(p.data).all():
-            raise TrainingError(f"non-finite parameter detected at step {state.step}")
+            raise TrainingError(f"non-finite parameter {name} at step {state.step}")
 
 
 def train_step(state: TrainState, batch_size: int) -> float:
@@ -209,6 +209,8 @@ def train_loop(model_config: ModelConfig, data_config: DataConfig, steps: int,
     Deterministic given (seed, data_config.seed). Non-finite state raises
     ``TrainingError`` carrying the step index.
     """
+    if eval_interval < 1:
+        raise UsageError(f"eval_interval must be positive, got {eval_interval}")
     state = init_train_state(model_config, data_config, steps, seed=seed, lr=lr,
                              weight_decay=weight_decay)
     loss0, acc0 = evaluate(state)

@@ -296,6 +296,16 @@ class TestMasaLayer:
         out = masa_layer_forward(x, params, config, grid)
         assert out.shape == (6, 4)
 
+        q, k, v = (x.data @ w.data for w in (params.wq, params.wk, params.wv))
+        head_outs = []
+        for i, gamma in enumerate(config.decay.gammas):
+            sl = slice(i * 2, (i + 1) * 2)
+            head_outs.append(masa_decomposed(Tensor(q[:, sl]), Tensor(k[:, sl]), Tensor(v[:, sl]),
+                                             grid, gamma).data)
+        local = lce(Tensor(v), grid, params.lce_kernel_weights).data
+        expected = (np.concatenate(head_outs, axis=1) + local) @ params.wo.data
+        assert np.max(np.abs(out.data - expected)) < 1e-12
+
     def test_config_params_mismatch_rejected(self):
         rng = np.random.default_rng(21)
         config, params, x = _layer_setup(rng)
@@ -335,12 +345,13 @@ def test_retention_gradients_match_finite_differences(kernel):
     assert err < 1e-6
 
 
-def test_layer_gradients_match_finite_differences():
+@pytest.mark.parametrize("decomposed,grid", [(False, GridShape(1, 2)), (True, GridShape(2, 3))],
+                         ids=["full", "decomposed"])
+def test_layer_gradients_match_finite_differences(decomposed, grid):
     rng = np.random.default_rng(26)
-    grid = GridShape(1, 2)
-    config = MaSAConfig(dim=4, num_heads=2, decomposed=False,
+    config = MaSAConfig(dim=4, num_heads=2, decomposed=decomposed,
                         decay=gamma_schedule(2, 8, 2), lce_kernel=3)
-    x = Tensor(rng.uniform(-1, 1, (2, 4)))
+    x = Tensor(rng.uniform(-1, 1, (grid.size, 4)))
     weights = [Tensor(0.3 * rng.uniform(-1, 1, (4, 4))) for _ in range(4)]
     kernel = Tensor(0.3 * rng.uniform(-1, 1, (4, 3, 3)))
 

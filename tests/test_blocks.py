@@ -119,6 +119,12 @@ class TestFfn:
         StageConfig(num_blocks=1, channels=4, heads=2, ffn_ratio=2.5,
                     decay_lower=2, decay_upper=8, decomposed=True)
 
+    @pytest.mark.parametrize("heads", [0, -2])
+    def test_non_positive_heads_rejected(self, heads):
+        with pytest.raises(ConfigurationError, match="head"):
+            StageConfig(num_blocks=1, channels=4, heads=heads, ffn_ratio=2,
+                        decay_lower=2, decay_upper=8, decomposed=True)
+
 
 def _tiny_block(rng, channels=4, heads=2, grid=GridShape(2, 2), zero=False):
     from masa_kit.blocks import BlockParams
@@ -336,6 +342,19 @@ class TestBuildAndForward:
         with pytest.raises(ConfigurationError):
             forward_classify(model, Tensor(np.zeros((3, 64, 64))))
 
+    def test_named_parameters_are_unique_ordered_and_complete(self):
+        cfg = preset_config("tiny")
+        model = build_backbone(cfg, seed=0)
+        named = list(model.named_parameters())
+        names = [name for name, _ in named]
+        assert len(set(names)) == len(names)
+        assert names[0] == "stem.convs.0.weight"
+        assert "stages.1.0.masa.wq" in names and names[-1] == "head_bias"
+        params = model.parameters()
+        assert len(params) == len(named)
+        assert all(p is q for (_, p), q in zip(named, params))
+        assert sum(p.size for _, p in named) == count_params_analytic(cfg)
+
 
 class TestAccounting:
     def test_single_linear_layer_macs(self):
@@ -389,6 +408,11 @@ class TestConfigSerialization:
     def test_unknown_preset_lists_names(self):
         with pytest.raises(ConfigurationError, match="rmt-t"):
             preset_config("rmt-xxl")
+
+    @pytest.mark.parametrize("resolution", [36, 40, 48, 16, 0, -32])
+    def test_resolution_that_cannot_downsample_three_times_rejected(self, resolution):
+        with pytest.raises(ConfigurationError, match="multiple of 32"):
+            replace(preset_config("tiny"), input_resolution=resolution)
 
     def test_wrong_stage_count_rejected(self):
         stage = StageConfig(num_blocks=1, channels=4, heads=2, ffn_ratio=1,

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, CSV outputs, determinism."""
 
 import csv
+import json
 import shutil
 import subprocess
 import sys
@@ -167,6 +168,56 @@ class TestTrainDemo:
         rows = read_csv(a)
         assert rows[0] == ["step", "loss", "train_accuracy"]
         assert [r[0] for r in rows[1:]] == ["2", "4"]
+
+
+def _tiny_config_text(edit):
+    from masa_kit import preset_config
+    doc = preset_config("tiny").to_json_dict()
+    edit(doc)
+    return json.dumps(doc)
+
+
+_CONFIG = ["model-stats", "--config", "{dir}/cfg.json"]
+
+
+@pytest.mark.parametrize("argv,config_text,named", [
+    pytest.param(["model-stats", "--config", "{dir}/absent.json"], None, "absent.json",
+                 id="config-missing-file"),
+    pytest.param(_CONFIG, "{not json", "cfg.json", id="config-invalid-json"),
+    pytest.param(_CONFIG, "[1, 2]", "stages", id="config-not-an-object"),
+    pytest.param(_CONFIG, _tiny_config_text(lambda d: d.pop("num_classes")), "num_classes",
+                 id="config-missing-key"),
+    pytest.param(_CONFIG, _tiny_config_text(lambda d: d["stages"][2].pop("decay_b")), "decay_b",
+                 id="config-missing-stage-key"),
+    pytest.param(_CONFIG, _tiny_config_text(lambda d: d["stages"][0].update(blocks="x")), "blocks",
+                 id="config-non-numeric-blocks"),
+    pytest.param(_CONFIG, _tiny_config_text(lambda d: d.update(stages=3)), "stages",
+                 id="config-stages-not-a-list"),
+    pytest.param(_CONFIG, _tiny_config_text(lambda d: d["stages"][0].update(ffn_ratio=float("inf"))),
+                 "ffn_ratio", id="config-infinite-ffn-ratio"),
+    pytest.param(_CONFIG, _tiny_config_text(lambda d: d["stages"][1].update(heads=0)), "head",
+                 id="config-zero-heads"),
+    pytest.param(_CONFIG, _tiny_config_text(lambda d: d.update(input_resolution=36)), "32",
+                 id="config-resolution-36"),
+    pytest.param(["scaling", "--sides", "a,b", "--out", "{dir}/b.csv"], None, "--sides",
+                 id="scaling-non-numeric-sides"),
+    pytest.param(["scaling", "--head-dim", "0", "--out", "{dir}/b.csv"], None, "--head-dim",
+                 id="scaling-zero-head-dim"),
+    pytest.param(["scaling", "--head-dim", "-3", "--out", "{dir}/b.csv"], None, "--head-dim",
+                 id="scaling-negative-head-dim"),
+    pytest.param(["train-demo", "--eval-interval", "0", "--out", "{dir}/m.csv"], None,
+                 "eval_interval", id="train-demo-zero-eval-interval"),
+])
+def test_bad_input_gives_one_error_line_and_exit_1(tmp_path, argv, config_text, named):
+    if config_text is not None:
+        (tmp_path / "cfg.json").write_text(config_text)
+    proc = subprocess.run([sys.executable, "-m", "masa_kit"] + [a.format(dir=tmp_path) for a in argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert named in lines[0]
 
 
 def test_bench_record_rejects_nonpositive_counts():

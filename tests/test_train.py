@@ -155,7 +155,7 @@ class TestTrainLoop:
         corrupted = state.params[0].data.copy()
         corrupted.flat[0] = np.inf
         state.params[0].data = corrupted
-        with pytest.raises(TrainingError, match="step 1"):
+        with pytest.raises(TrainingError, match=r"parameter stem\.convs\.0\.weight at step 1"):
             train_step(state, batch_size=2)
 
     def test_evaluate_reports_fraction_and_mean_loss(self):
