@@ -19,8 +19,8 @@ from .decay import (DecaySpec, GridShape, decay_axial_pair, decay_bidirectional_
 from .errors import (ConfigurationError, DimensionError, MasaKitError, TrainingError,
                      UsageError)
 from .tensor import (GradTape, MacCounter, Tensor, backward, concat, conv2d, count_macs,
-                     depthwise_conv2d, gelu, hadamard, log_softmax_last, matmul,
-                     mean_axes, mul_scalar, powf, reshape, slice_axis, softmax_last,
+                     decayed_attention, depthwise_conv2d, gelu, hadamard, log_softmax_last,
+                     matmul, mean_axes, mul_scalar, powf, reshape, slice_axis, softmax_last,
                      sum_all, sum_axes, tape_for, transpose, trunc_normal)
 from .train import (DataConfig, OptimState, SynthSample, TrainMetrics, adamw_step,
                     cross_entropy, finite_diff_gradcheck, init_optim, synth_dataset,

@@ -4,7 +4,9 @@ Covers causal retention in recurrent and parallel form, its bidirectional
 variant, softmax attention weighted by a 2D Manhattan decay (full and
 axis-decomposed), a depthwise local-context term, and the multi-head layer
 that composes them. Kernels are pure functions; per-head and per-row work is
-independent.
+independent. Every Manhattan attention pass is one ``decayed_attention`` call,
+which streams query rows in blocks and takes the decay as axial factors, so
+no N x N array is kept.
 
 Score/apply cost: full attention spends 2*N^2*d MACs on an N-token grid while
 the decomposed form spends 2*N*(H+W)*d, so decomposition wins for any square
@@ -19,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decay import (DecaySpec, GridShape, decay_axial_pair, decay_bidirectional_1d,
-                    decay_causal_1d, decay_manhattan_2d)
+                    decay_causal_1d)
 from .errors import ConfigurationError, DimensionError
-from .tensor import (Tensor, concat, depthwise_conv2d, hadamard, matmul, mul_scalar,
-                     reshape, slice_axis, softmax_last, transpose, trunc_normal)
+from .tensor import (Tensor, concat, decayed_attention, depthwise_conv2d, hadamard, matmul,
+                     mul_scalar, reshape, slice_axis, transpose, trunc_normal)
 
 
 @dataclass(frozen=True)
@@ -109,18 +111,8 @@ def bi_retention(q: Tensor, k: Tensor, v: Tensor, gamma: float) -> Tensor:
     return matmul(hadamard(matmul(q, transpose(k)), d_bi), v)
 
 
-def _attend(q: Tensor, k: Tensor, v: Tensor, decay: Tensor | None, scale: float | None) -> Tensor:
-    """The MaSA step over the last two axes, any leading axes batched: softmax of the
-    (scaled) logits q k^T, times the decay entrywise without renormalizing, applied to v.
-    """
-    n = k.ndim
-    logits = matmul(q, transpose(k, tuple(range(n - 2)) + (n - 1, n - 2)))
-    if scale is not None:
-        logits = mul_scalar(logits, scale)
-    weights = softmax_last(logits)
-    if decay is not None:
-        weights = hadamard(weights, decay)
-    return matmul(weights, v)
+# The 1x1 outer factor that turns one axial decay into the factor pair of ``decayed_attention``.
+_UNIT = Tensor(np.ones((1, 1)))
 
 
 def _swap_grid_axes(t: Tensor) -> Tensor:
@@ -129,19 +121,16 @@ def _swap_grid_axes(t: Tensor) -> Tensor:
     return transpose(t, tuple(range(n - 3)) + (n - 2, n - 3, n - 1))
 
 
-def _axis_pass(q: Tensor, k: Tensor, v: Tensor, decay: Tensor | None, scale: float | None) -> Tensor:
-    """``_attend`` along W within each row of [..., H, W, d] tokens, returned as [..., W, H, d]."""
-    return _swap_grid_axes(_attend(q, k, v, decay, scale))
-
-
 def _decomposed(q: Tensor, k: Tensor, v: Tensor, d_h: Tensor | None, d_w: Tensor | None,
                 scale: float | None) -> Tensor:
     """Width pass per row, then height pass per column, of [..., H, W, d] tokens.
 
     Returns [..., W, H, d]; the caller's own transpose restores the grid order.
     """
-    mixed = _axis_pass(q, k, v, d_w, scale)
-    return _attend(_swap_grid_axes(q), _swap_grid_axes(k), mixed, d_h, scale)
+    along_w = None if d_w is None else (_UNIT, d_w)
+    along_h = None if d_h is None else (_UNIT, d_h)
+    mixed = _swap_grid_axes(decayed_attention(q, k, v, along_w, scale))
+    return decayed_attention(_swap_grid_axes(q), _swap_grid_axes(k), mixed, along_h, scale)
 
 
 def masa_full(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
@@ -151,11 +140,12 @@ def masa_full(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
     Softmax runs row-wise first; the decay matrix then multiplies the weights
     entrywise and the rows are deliberately not renormalized. ``gamma=None``
     skips the decay entirely (plain softmax attention). ``scale`` divides the
-    logits by sqrt(d) before the softmax.
+    logits by sqrt(d) before the softmax. The decay enters as its two axial
+    factors, so no N x N matrix is built.
     """
     _, d = _check_qkv(q, k, v, grid)
-    decay = decay_manhattan_2d(grid, gamma) if gamma is not None else None
-    return _attend(q, k, v, decay, 1.0 / math.sqrt(d) if scale else None)
+    factors = decay_axial_pair(grid, gamma) if gamma is not None else None
+    return decayed_attention(q, k, v, factors, 1.0 / math.sqrt(d) if scale else None)
 
 
 def masa_decomposed(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
@@ -191,7 +181,7 @@ def masa_layer_forward(x: Tensor, params: MaSAParams, config: MaSAConfig,
     """Multi-head Manhattan attention layer.
 
     Projects Q, K, V and splits the channels into heads that run as one batch
-    axis, each with its own decay rate: the per-head decay matrices are
+    axis, each with its own decay rate: the per-head axial decay factors are
     stacked and broadcast over the batch, so no head is sliced out and no
     head output is concatenated. The mode (full or decomposed) follows the
     config. The depthwise local-context term of the undivided V is added to
@@ -209,16 +199,15 @@ def masa_layer_forward(x: Tensor, params: MaSAParams, config: MaSAConfig,
     q, k, v = (matmul(x, wt) for wt in (params.wq, params.wk, params.wv))
     heads, hd, gammas = config.num_heads, config.head_dim, config.decay.gammas
     scale = 1.0 / math.sqrt(hd)
+    h, w = grid.height, grid.width
+    d_h, d_w = (np.stack([decay_bidirectional_1d(n, g).data for g in gammas]) for n in (h, w))
     if config.decomposed:
-        h, w = grid.height, grid.width
         qh, kh, vh = (transpose(reshape(t, (h, w, heads, hd)), (2, 0, 1, 3)) for t in (q, k, v))
-        d_h = Tensor(np.stack([decay_bidirectional_1d(h, g).data for g in gammas])[:, None])
-        d_w = Tensor(np.stack([decay_bidirectional_1d(w, g).data for g in gammas])[:, None])
-        out = transpose(_decomposed(qh, kh, vh, d_h, d_w, scale), (2, 1, 0, 3))
+        out = _decomposed(qh, kh, vh, Tensor(d_h[:, None]), Tensor(d_w[:, None]), scale)
+        out = transpose(out, (2, 1, 0, 3))
     else:
         qh, kh, vh = (transpose(reshape(t, (grid.size, heads, hd)), (1, 0, 2)) for t in (q, k, v))
-        decay = Tensor(np.stack([decay_manhattan_2d(grid, g).data for g in gammas]))
-        out = transpose(_attend(qh, kh, vh, decay, scale), (1, 0, 2))
+        out = transpose(decayed_attention(qh, kh, vh, (Tensor(d_h), Tensor(d_w)), scale), (1, 0, 2))
     attn = reshape(out, (grid.size, dim))
     return matmul(attn + lce(v, grid, params.lce_kernel_weights), params.wo)
 

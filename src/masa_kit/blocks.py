@@ -56,7 +56,10 @@ class StageConfig:
             raise ConfigurationError(f"a stage needs at least one head, got {self.heads}")
         if self.channels % self.heads:
             raise ConfigurationError(f"channels {self.channels} not divisible by heads {self.heads}")
-        hidden = self.ffn_ratio * self.channels
+        try:
+            hidden = self.ffn_ratio * self.channels
+        except OverflowError:  # an int channel count beyond the float range
+            hidden = np.inf
         if not np.isfinite(hidden) or hidden <= 0 or abs(hidden - round(hidden)) > 1e-9:
             raise ConfigurationError(
                 f"ffn_ratio {self.ffn_ratio} times channels {self.channels} must be a positive integer")
@@ -115,15 +118,30 @@ class ModelConfig:
 
 
 def _field(doc, key: str, kind: type):
-    """``kind(doc[key])``, naming the key in the error when it is missing or bad."""
+    """``doc[key]`` as ``kind``, naming the key in the error when it is missing or bad.
+
+    Values are checked, not cast: a bool must be JSON true or false, an int an
+    integral number other than a bool, and a float any number other than a bool.
+    """
     if not isinstance(doc, dict):
         raise ConfigurationError(f"expected a JSON object holding {key!r}, got {type(doc).__name__}")
     if key not in doc:
         raise ConfigurationError(f"missing key {key!r}")
-    try:
-        return kind(doc[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError(f"key {key!r} must be {kind.__name__}, got {doc[key]!r}") from None
+    value = doc[key]
+    if isinstance(value, bool):
+        ok = kind is bool
+    elif kind is int:
+        ok = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    elif kind is float:
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, kind)
+    if ok:
+        try:
+            return kind(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigurationError(f"key {key!r} must be {kind.__name__}, got {value!r}")
 
 
 # Named presets: blocks, channels, heads, ffn ratios, decay exponent ranges.

@@ -122,6 +122,8 @@ _BENCH_KERNELS = {
 
 def cmd_scaling(args: argparse.Namespace) -> int:
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    if not modes:
+        raise MasaKitError(f"--modes names no mode; choose from {', '.join(sorted(_BENCH_KERNELS))}")
     for mode in modes:
         if mode not in _BENCH_KERNELS:
             raise MasaKitError(f"unknown mode {mode!r}; choose from {', '.join(sorted(_BENCH_KERNELS))}")
@@ -129,6 +131,8 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         sides = [int(s) for s in args.sides.split(",") if s.strip()]
     except ValueError:
         raise MasaKitError(f"--sides must be comma-separated integers, got {args.sides!r}") from None
+    if not sides:
+        raise MasaKitError("--sides names no grid side")
     if any(s < 2 for s in sides):
         raise MasaKitError("benchmark sides must be at least 2")
     if args.head_dim < 1:
@@ -172,6 +176,9 @@ def cmd_scaling(args: argparse.Namespace) -> int:
 
 
 def cmd_train_demo(args: argparse.Namespace) -> int:
+    for flag, value in (("--steps", args.steps), ("--samples", args.samples)):
+        if value < 1:
+            raise MasaKitError(f"{flag} must be positive, got {value}")
     model_config = blocks.preset_config("tiny")
     data_config = train.DataConfig(seed=args.seed, n=args.samples,
                                    resolution=model_config.input_resolution, num_classes=2)
@@ -180,8 +187,7 @@ def cmd_train_demo(args: argparse.Namespace) -> int:
     rows = [[str(r.step), _fmt(r.loss), _fmt(r.accuracy)] for r in metrics.records]
     _write_csv(Path(args.out), ["step", "loss", "train_accuracy"], rows)
     print(f"initial accuracy: {_fmt(metrics.initial.accuracy)} (loss {_fmt(metrics.initial.loss)})")
-    if metrics.records:
-        print(f"final accuracy:   {_fmt(metrics.final.accuracy)} (loss {_fmt(metrics.final.loss)})")
+    print(f"final accuracy:   {_fmt(metrics.final.accuracy)} (loss {_fmt(metrics.final.loss)})")
     print(f"wrote metrics to {args.out}")
     return 0
 

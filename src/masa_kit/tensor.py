@@ -1,13 +1,15 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Just large enough for spatial-decay attention experiments: batched matmul,
-numerically stable softmax, elementwise arithmetic, reductions, shape moves,
-and 2D convolutions, each with a hand-written adjoint. Every operation that
+numerically stable softmax, a fused decayed-softmax attention op, elementwise
+arithmetic, reductions, shape moves, and 2D convolutions, each with a
+hand-written adjoint. Every operation that
 returns successfully yields finite values; NaN or Inf raises ``UsageError``.
 
 A ``Tensor`` is immutable after construction except for gradient population,
 and a gradient tape must stay on the thread that built it. Multiply-accumulate
-counts for matmul and convolution ops can be captured with ``count_macs``.
+counts for matmul, attention and convolution ops can be captured with
+``count_macs``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from .errors import ConfigurationError, DimensionError, UsageError
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# Logits per block of query rows in ``decayed_attention``, summed over the
+# batch axes: its working memory is a few float64 arrays of this many entries.
+ATTENTION_BLOCK_ELEMENTS = 1 << 20
+
 
 class MacCounter:
     """Running total of multiply-accumulate operations (one MAC = one FLOP)."""
@@ -41,7 +47,7 @@ _MAC_STACK: list[MacCounter] = []
 
 @contextmanager
 def count_macs() -> Iterator[MacCounter]:
-    """Count MACs executed by matmul/conv ops inside the ``with`` block."""
+    """Count MACs executed by matmul/attention/conv ops inside the ``with`` block."""
     counter = MacCounter()
     _MAC_STACK.append(counter)
     try:
@@ -431,6 +437,118 @@ def log_softmax_last(a: Tensor) -> Tensor:
     out = _result(y, (a,))
     if out.requires_grad:
         out._backward = lambda g: _accum(a, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Decayed softmax attention
+
+
+def _row_blocks(batch: int, length: int) -> list[tuple[int, int]]:
+    step = max(1, ATTENTION_BLOCK_ELEMENTS // max(1, batch * length))
+    return [(start, min(start + step, length)) for start in range(0, length, step)]
+
+
+def _softmax_rows(q_rows: np.ndarray, kt: np.ndarray, scale: float | None) -> np.ndarray:
+    s = q_rows @ kt
+    if scale is not None:
+        s *= scale
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
+def _decay_rows(a: np.ndarray, b: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop of the Kronecker product of a [..., Ha, Ha] and b [..., Wb, Wb]."""
+    rows = np.arange(start, stop)
+    wb = b.shape[-1]
+    block = np.take(a, rows // wb, axis=-2)[..., :, None] * np.take(b, rows % wb, axis=-2)[..., None, :]
+    return block.reshape(block.shape[:-2] + (-1,))
+
+
+def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Tensor] | None,
+                      scale: float | None) -> Tensor:
+    """softmax(scale * q k^T), times a decay D entrywise without renormalizing, applied to v.
+
+    ``q`` and ``k`` are [..., L, d] and ``v`` is [..., L, dv], with the same
+    leading (batch) axes. ``factors`` is None (no decay) or a pair of constant
+    tensors a [..., Ha, Ha] and b [..., Wb, Wb] with Ha * Wb = L, whose leading
+    axes broadcast to the batch; D is their Kronecker product,
+    D[n, m] = a[n // Wb, m // Wb] * b[n % Wb, m % Wb]. ``scale=None`` leaves
+    the logits unscaled.
+
+    Query rows run in blocks of about ``ATTENTION_BLOCK_ELEMENTS`` logits. A
+    row's softmax needs only its own keys, so the blocks are exact, and the
+    backward pass recomputes each block from q and k: no [L, L] array outlives
+    a block. The MACs counted are those of q k^T and of the weights times v,
+    in the forward pass only.
+    """
+    q, k, v = _ensure(q), _ensure(k), _ensure(v)
+    if q.ndim < 2 or k.shape != q.shape or v.ndim != q.ndim or v.shape[:-1] != q.shape[:-1]:
+        raise DimensionError(f"decayed_attention needs q, k [..., L, d] and v [..., L, dv], "
+                             f"got {q.shape}, {k.shape}, {v.shape}")
+    batch, length = q.shape[:-2], q.shape[-2]
+    fa = fb = None
+    if factors is not None:
+        a, b = (_ensure(f) for f in factors)
+        if a.requires_grad or b.requires_grad:
+            raise UsageError("decay factors are constants; they take no gradient")
+        if (a.ndim < 2 or b.ndim < 2 or a.shape[-1] != a.shape[-2] or b.shape[-1] != b.shape[-2]
+                or a.shape[-1] * b.shape[-1] != length):
+            raise DimensionError(f"decay factors {a.shape} and {b.shape} do not span {length} keys")
+        try:
+            fits = np.broadcast_shapes(a.shape[:-2], b.shape[:-2], batch) == batch
+        except ValueError:
+            fits = False
+        if not fits:
+            raise DimensionError(f"decay factors {a.shape} and {b.shape} do not broadcast to batch {batch}")
+        fa, fb = a.data, b.data
+    qd, kd, vd = q.data, k.data, v.data
+    kt = kd.swapaxes(-1, -2)
+    n_batch = int(np.prod(batch, dtype=np.int64))
+    blocks = _row_blocks(n_batch, length)
+    data = np.empty(q.shape[:-1] + v.shape[-1:])
+    for start, stop in blocks:
+        w = _softmax_rows(qd[..., start:stop, :], kt, scale)
+        if fa is not None:
+            w *= _decay_rows(fa, fb, start, stop)
+        data[..., start:stop, :] = w @ vd
+    _record_macs(n_batch * length * length * (q.shape[-1] + v.shape[-1]))
+    out = _result(data, (q, k, v))
+    if out.requires_grad:
+        def vjp(g: np.ndarray) -> None:
+            dq = np.empty_like(qd) if q.requires_grad else None
+            dk = np.zeros_like(kd) if k.requires_grad else None
+            dv = np.zeros_like(vd) if v.requires_grad else None
+            vt = vd.swapaxes(-1, -2)
+            # rowsum(dP * P) = rowsum(dW * W) = g . out per row, as rows are not renormalized
+            delta = (g * data).sum(axis=-1, keepdims=True)
+            for start, stop in blocks:
+                rows = (Ellipsis, slice(start, stop), slice(None))
+                p = _softmax_rows(qd[rows], kt, scale)
+                decay = _decay_rows(fa, fb, start, stop) if fa is not None else None
+                if dv is not None:
+                    w = p if decay is None else p * decay
+                    dv += w.swapaxes(-1, -2) @ g[rows]
+                    del w
+                if dq is None and dk is None:
+                    continue
+                ds = g[rows] @ vt
+                if decay is not None:
+                    ds *= decay
+                ds -= delta[rows]
+                ds *= p
+                if scale is not None:
+                    ds *= scale
+                if dq is not None:
+                    dq[rows] = ds @ kd
+                if dk is not None:
+                    dk += ds.swapaxes(-1, -2) @ qd[rows]
+            for t, grad in ((q, dq), (k, dk), (v, dv)):
+                if grad is not None:
+                    _accum(t, grad)
+        out._backward = vjp
     return out
 
 

@@ -1,15 +1,19 @@
 """Attention kernels against brute-force oracles and each other."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from masa_kit import (ConfigurationError, DimensionError, GridShape, MaSAConfig,
-                      Tensor, attention_score_apply_macs, bi_retention, count_macs,
-                      gamma_schedule, init_masa_params, lce, masa_decomposed, masa_full,
-                      masa_layer_forward, retention_parallel, retention_recurrent,
-                      sum_all)
+                      Tensor, UsageError, attention_score_apply_macs, backward, bi_retention,
+                      count_macs, decay_axial_pair, decay_bidirectional_1d, decay_manhattan_2d,
+                      decayed_attention, gamma_schedule, hadamard, init_masa_params, lce,
+                      masa_decomposed, masa_full, masa_layer_forward, matmul, mul_scalar,
+                      retention_parallel, retention_recurrent, softmax_last, sum_all, tape_for,
+                      transpose)
+from masa_kit import tensor as tensor_module
 from masa_kit.train import finite_diff_gradcheck
 
 
@@ -37,6 +41,26 @@ def masa_full_oracle(q, k, v, height, width, gamma, scale=True):
     if gamma is not None:
         weights = weights * manhattan_weights(height, width, gamma)
     return weights @ v
+
+
+def composite_attend(q, k, v, decay, scale):
+    """The unfused MaSA step on the tape, one op each: logits, scale, softmax, decay, apply."""
+    n = k.ndim
+    logits = matmul(q, transpose(k, tuple(range(n - 2)) + (n - 1, n - 2)))
+    if scale is not None:
+        logits = mul_scalar(logits, scale)
+    weights = softmax_last(logits)
+    if decay is not None:
+        weights = hadamard(weights, decay)
+    return matmul(weights, v)
+
+
+def kron_decay(a, b):
+    """The [..., L, L] decay the factor pair stands for, built whole with batched np.kron."""
+    a, b = np.asarray(a), np.asarray(b)
+    full = a[..., :, None, :, None] * b[..., None, :, None, :]
+    length = a.shape[-1] * b.shape[-1]
+    return full.reshape(full.shape[:-4] + (length, length))
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +344,134 @@ class TestMasaLayer:
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ConfigurationError):
             MaSAConfig(dim=5, num_heads=2, decomposed=False, decay=gamma_schedule(2, 8, 2))
+
+
+# ---------------------------------------------------------------------------
+# the fused decayed-attention op against the composite oracle
+
+
+def _per_head_factors(heads, height, width):
+    gammas = gamma_schedule(2, 8, heads).gammas
+    return (np.stack([decay_bidirectional_1d(height, g).data for g in gammas]),
+            np.stack([decay_bidirectional_1d(width, g).data for g in gammas]))
+
+
+def _fused_case(name):
+    """(q/k/v shape, factor arrays or None, scale) for one named case."""
+    if name == "no-decay-no-scale":
+        return (6, 4), None, None
+    if name in ("grid-2x3", "grid-3x5"):
+        height, width = (2, 3) if name == "grid-2x3" else (3, 5)
+        d_h, d_w = decay_axial_pair(GridShape(height, width), 0.7)
+        return (height * width, 4), (d_h.data, d_w.data), 0.5
+    if name == "axis-1d":
+        return (3, 5, 4), (np.ones((1, 1)), decay_bidirectional_1d(5, 0.6).data), 0.5
+    if name == "per-head-full":
+        return (2, 6, 3), _per_head_factors(2, 2, 3), 1 / math.sqrt(3)
+    if name == "per-head-axis":
+        _, d_w = _per_head_factors(3, 2, 5)
+        return (3, 2, 5, 4), (np.ones((1, 1)), d_w[:, None]), 0.5
+    raise ValueError(name)
+
+
+_FUSED_CASES = ["no-decay-no-scale", "grid-2x3", "grid-3x5", "axis-1d", "per-head-full",
+                "per-head-axis"]
+
+
+class TestDecayedAttention:
+    @pytest.mark.parametrize("block_elements", [1 << 20, 1, 37], ids=["one-block", "row-blocks",
+                                                                       "ragged-blocks"])
+    @pytest.mark.parametrize("name", _FUSED_CASES)
+    def test_forward_and_gradients_match_composite_oracle(self, monkeypatch, name, block_elements):
+        monkeypatch.setattr(tensor_module, "ATTENTION_BLOCK_ELEMENTS", block_elements)
+        shape, factors, scale = _fused_case(name)
+        rng = np.random.default_rng(30)
+        arrays = [rng.standard_normal(shape) for _ in range(4)]
+        cotangent = Tensor(arrays.pop())
+        decay = None if factors is None else Tensor(kron_decay(*factors))
+        grads = []
+        for op in (lambda q, k, v: decayed_attention(
+                       q, k, v, None if factors is None else tuple(map(Tensor, factors)), scale),
+                   lambda q, k, v: composite_attend(q, k, v, decay, scale)):
+            q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+            out = op(q, k, v)
+            backward(sum_all(hadamard(out, cotangent)))
+            grads.append([out.data, q.grad, k.grad, v.grad])
+        for fused, oracle in zip(*grads):
+            assert np.max(np.abs(fused - oracle)) < 1e-12
+
+    def test_ragged_budget_leaves_a_short_last_block(self, monkeypatch):
+        monkeypatch.setattr(tensor_module, "ATTENTION_BLOCK_ELEMENTS", 37)
+        # grid-3x5: 37 // 15 = 2 rows a block; axis-1d: batch 3 of 5 keys, 37 // 15 = 2 rows
+        assert tensor_module._row_blocks(1, 15) == [(i, min(i + 2, 15)) for i in range(0, 15, 2)]
+        assert tensor_module._row_blocks(3, 5) == [(0, 2), (2, 4), (4, 5)]
+
+    def test_kronecker_factors_give_the_manhattan_decay(self):
+        grid = GridShape(3, 5)
+        d_h, d_w = decay_axial_pair(grid, 0.7)
+        np.testing.assert_allclose(kron_decay(d_h.data, d_w.data),
+                                   decay_manhattan_2d(grid, 0.7).data, rtol=1e-15)
+
+    def test_gradcheck_across_several_blocks(self, monkeypatch):
+        monkeypatch.setattr(tensor_module, "ATTENTION_BLOCK_ELEMENTS", 20)
+        grid = GridShape(2, 3)
+        factors = decay_axial_pair(grid, 0.6)
+        rng = np.random.default_rng(31)
+        q, k, v = (Tensor(rng.uniform(-1, 1, (2, grid.size, 3))) for _ in range(3))
+        err, _ = finite_diff_gradcheck(
+            lambda i: sum_all(decayed_attention(i[0], i[1], i[2], factors, 0.8)), [q, k, v],
+            eps=1e-6)
+        assert err < 1e-6
+
+    def test_macs_counted_in_forward_only(self):
+        rng = np.random.default_rng(32)
+        grid = GridShape(3, 4)
+        for kernel, mode in ((masa_full, "full"), (masa_decomposed, "decomposed")):
+            q, k, v = (Tensor(rng.standard_normal((grid.size, 5)), requires_grad=True)
+                       for _ in range(3))
+            with count_macs() as forward:
+                loss = sum_all(kernel(q, k, v, grid, 0.5))
+            with count_macs() as adjoint:
+                backward(loss)
+            assert forward.total == attention_score_apply_macs(mode, 3, 4, 5)
+            assert adjoint.total == 0
+
+    def test_masa_full_is_one_node_on_the_tape(self):
+        rng = np.random.default_rng(33)
+        grid = GridShape(3, 3)
+        q, k, v = (Tensor(rng.standard_normal((grid.size, 4)), requires_grad=True) for _ in range(3))
+        out = masa_full(q, k, v, grid, 0.8)
+        nodes = tape_for(sum_all(out)).nodes
+        assert len(nodes) == 5 and out in nodes and set(out._parents) == {q, k, v}
+
+    def test_forward_backward_memory_stays_far_below_the_n_by_n_arrays(self):
+        # side 64: one 4096 x 4096 float64 array is 128 MB, and the composite step kept five
+        rng = np.random.default_rng(34)
+        grid = GridShape(64, 64)
+        q, k, v = (Tensor(rng.standard_normal((grid.size, 32)), requires_grad=True)
+                   for _ in range(3))
+        tracemalloc.start()
+        try:
+            backward(sum_all(masa_full(q, k, v, grid, 0.9)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2 ** 20
+
+    def test_bad_shapes_and_tracked_factors_rejected(self):
+        rng = np.random.default_rng(35)
+        q = rand(rng, 2, 6, 3)
+        d_h, d_w = decay_axial_pair(GridShape(2, 3), 0.5)
+        with pytest.raises(DimensionError):
+            decayed_attention(q, rand(rng, 2, 5, 3), q, None, None)
+        with pytest.raises(DimensionError):
+            decayed_attention(q, q, rand(rng, 2, 5, 3), None, None)
+        with pytest.raises(DimensionError):
+            decayed_attention(q, q, q, (d_w, d_w), None)
+        with pytest.raises(DimensionError):
+            decayed_attention(q, q, q, (Tensor(np.ones((3, 2, 2))), d_w), None)
+        with pytest.raises(UsageError):
+            decayed_attention(q, q, q, (d_h, Tensor(d_w.data, requires_grad=True)), None)
 
 
 # ---------------------------------------------------------------------------

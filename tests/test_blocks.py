@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 import masa_kit as mk
@@ -11,8 +13,15 @@ from masa_kit import (ConfigurationError, GridShape, ModelConfig, StageConfig, T
                       build_backbone, conv_stem, count_flops, count_params,
                       count_params_analytic, cpe, downsample, ffn, forward_classify,
                       preset_config, rmt_block, stage_grids)
-from masa_kit.blocks import ConvParams, NormParams, StemParams
+from masa_kit.blocks import PRESET_NAMES, ConvParams, NormParams, StemParams
 from masa_kit.train import finite_diff_gradcheck
+
+# Any value a JSON document can hold, as Python's json module parses it.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10 ** 400, 10 ** 400) | st.floats()
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=8)
 
 
 def np_gelu(x):
@@ -413,6 +422,53 @@ class TestConfigSerialization:
     def test_resolution_that_cannot_downsample_three_times_rejected(self, resolution):
         with pytest.raises(ConfigurationError, match="multiple of 32"):
             replace(preset_config("tiny"), input_resolution=resolution)
+
+    @pytest.mark.parametrize("stage_key,value", [
+        ("decomposed", "false"), ("decomposed", 0), ("decomposed", None),
+        ("blocks", 2.7), ("blocks", True), ("blocks", "1"),
+        ("channels", float("inf")), ("ffn_ratio", "2"), ("ffn_ratio", False), ("decay_a", [2]),
+        pytest.param("channels", 10 ** 400, id="channels-beyond-float-range"),
+    ])
+    def test_stage_value_of_wrong_json_type_rejected(self, stage_key, value):
+        doc = preset_config("tiny").to_json_dict()
+        doc["stages"][1][stage_key] = value
+        with pytest.raises(ConfigurationError, match=stage_key):
+            ModelConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key,value", [("num_classes", 2.7), ("num_classes", True),
+                                           ("input_resolution", "32"), ("stages", {})])
+    def test_top_level_value_of_wrong_json_type_rejected(self, key, value):
+        doc = preset_config("tiny").to_json_dict()
+        doc[key] = value
+        with pytest.raises(ConfigurationError, match=key):
+            ModelConfig.from_json_dict(doc)
+
+    def test_integral_floats_and_int_ratios_are_accepted_as_declared_types(self):
+        doc = preset_config("tiny").to_json_dict()
+        doc["num_classes"] = 10.0
+        doc["stages"][0].update(blocks=1.0, ffn_ratio=2, decay_a=2, decomposed=False)
+        cfg = ModelConfig.from_json_dict(doc)
+        assert type(cfg.num_classes) is int and cfg.num_classes == 10
+        stage = cfg.stages[0]
+        assert type(stage.num_blocks) is int and type(stage.ffn_ratio) is float
+        assert type(stage.decay_lower) is float and stage.decomposed is False
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_field_of_any_json_type_parses_to_declared_types_or_raises_config_error(self, data):
+        doc = preset_config(data.draw(st.sampled_from(PRESET_NAMES))).to_json_dict()
+        stage = data.draw(st.sampled_from([None, 0, 1, 2, 3]))
+        target = doc if stage is None else doc["stages"][stage]
+        target[data.draw(st.sampled_from(sorted(target)))] = data.draw(_JSON_VALUES)
+        try:
+            cfg = ModelConfig.from_json_dict(doc)
+        except ConfigurationError:
+            return
+        assert type(cfg.num_classes) is int and type(cfg.input_resolution) is int
+        for s in cfg.stages:
+            assert all(type(getattr(s, f)) is int for f in ("num_blocks", "channels", "heads"))
+            assert all(type(getattr(s, f)) is float for f in ("ffn_ratio", "decay_lower", "decay_upper"))
+            assert type(s.decomposed) is bool
 
     def test_wrong_stage_count_rejected(self):
         stage = StageConfig(num_blocks=1, channels=4, heads=2, ffn_ratio=1,

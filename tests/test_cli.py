@@ -152,13 +152,6 @@ class TestScaling:
 
 
 class TestTrainDemo:
-    def test_zero_steps_writes_header_only_and_prints_initial(self, tmp_path, capsys):
-        out = tmp_path / "metrics.csv"
-        assert run_cli("train-demo", "--seed", "1", "--steps", "0", "--samples", "8",
-                       "--out", str(out)) == 0
-        assert read_csv(out) == [["step", "loss", "train_accuracy"]]
-        assert "initial accuracy:" in capsys.readouterr().out
-
     def test_short_run_is_deterministic_and_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -199,14 +192,34 @@ _CONFIG = ["model-stats", "--config", "{dir}/cfg.json"]
                  id="config-zero-heads"),
     pytest.param(_CONFIG, _tiny_config_text(lambda d: d.update(input_resolution=36)), "32",
                  id="config-resolution-36"),
+    pytest.param(_CONFIG, _tiny_config_text(lambda d: d["stages"][0].update(decomposed="false")),
+                 "decomposed", id="config-string-bool"),
+    pytest.param(_CONFIG, _tiny_config_text(lambda d: d.update(num_classes=2.7)), "num_classes",
+                 id="config-fractional-num-classes"),
+    pytest.param(_CONFIG, _tiny_config_text(lambda d: d["stages"][3].update(heads=True)), "heads",
+                 id="config-bool-heads"),
+    pytest.param(_CONFIG, _tiny_config_text(lambda d: d["stages"][1].update(ffn_ratio="2")),
+                 "ffn_ratio", id="config-string-ffn-ratio"),
     pytest.param(["scaling", "--sides", "a,b", "--out", "{dir}/b.csv"], None, "--sides",
                  id="scaling-non-numeric-sides"),
     pytest.param(["scaling", "--head-dim", "0", "--out", "{dir}/b.csv"], None, "--head-dim",
                  id="scaling-zero-head-dim"),
     pytest.param(["scaling", "--head-dim", "-3", "--out", "{dir}/b.csv"], None, "--head-dim",
                  id="scaling-negative-head-dim"),
+    pytest.param(["scaling", "--modes", "", "--out", "{dir}/b.csv"], None, "--modes",
+                 id="scaling-empty-modes"),
+    pytest.param(["scaling", "--modes", " , ", "--out", "{dir}/b.csv"], None, "--modes",
+                 id="scaling-blank-modes"),
+    pytest.param(["scaling", "--sides", "", "--out", "{dir}/b.csv"], None, "--sides",
+                 id="scaling-empty-sides"),
     pytest.param(["train-demo", "--eval-interval", "0", "--out", "{dir}/m.csv"], None,
                  "eval_interval", id="train-demo-zero-eval-interval"),
+    pytest.param(["train-demo", "--steps", "-3", "--out", "{dir}/m.csv"], None, "--steps",
+                 id="train-demo-negative-steps"),
+    pytest.param(["train-demo", "--steps", "0", "--out", "{dir}/m.csv"], None, "--steps",
+                 id="train-demo-zero-steps"),
+    pytest.param(["train-demo", "--samples", "0", "--out", "{dir}/m.csv"], None, "--samples",
+                 id="train-demo-zero-samples"),
 ])
 def test_bad_input_gives_one_error_line_and_exit_1(tmp_path, argv, config_text, named):
     if config_text is not None:
