@@ -111,6 +111,14 @@ def bi_retention(q: Tensor, k: Tensor, v: Tensor, gamma: float) -> Tensor:
     return matmul(hadamard(matmul(q, transpose(k)), d_bi), v)
 
 
+def token_image(x: Tensor, grid: GridShape) -> Tensor:
+    """[N, C] tokens as the channels-last [H, W, C] map of their grid: one reshape."""
+    if x.ndim != 2 or x.shape[0] != grid.size:
+        raise DimensionError(f"expected [N, C] tokens filling a {grid.height}x{grid.width} grid, "
+                             f"got {x.shape}")
+    return reshape(x, (grid.height, grid.width, x.shape[1]))
+
+
 # The 1x1 outer factor that turns one axial decay into the factor pair of ``decayed_attention``.
 _UNIT = Tensor(np.ones((1, 1)))
 
@@ -122,7 +130,7 @@ def _swap_grid_axes(t: Tensor) -> Tensor:
 
 
 def _decomposed(q: Tensor, k: Tensor, v: Tensor, d_h: Tensor | None, d_w: Tensor | None,
-                scale: float | None) -> Tensor:
+                scale: float) -> Tensor:
     """Width pass per row, then height pass per column, of [..., H, W, d] tokens.
 
     Returns [..., W, H, d]; the caller's own transpose restores the grid order.
@@ -133,23 +141,22 @@ def _decomposed(q: Tensor, k: Tensor, v: Tensor, d_h: Tensor | None, d_w: Tensor
     return decayed_attention(_swap_grid_axes(q), _swap_grid_axes(k), mixed, along_h, scale)
 
 
-def masa_full(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
-              gamma: float | None, *, scale: bool = True) -> Tensor:
+def masa_full(q: Tensor, k: Tensor, v: Tensor, grid: GridShape, gamma: float | None) -> Tensor:
     """Softmax attention with a Manhattan decay prior over a 2D token grid.
 
     Softmax runs row-wise first; the decay matrix then multiplies the weights
     entrywise and the rows are deliberately not renormalized. ``gamma=None``
-    skips the decay entirely (plain softmax attention). ``scale`` divides the
-    logits by sqrt(d) before the softmax. The decay enters as its two axial
-    factors, so no N x N matrix is built.
+    skips the decay entirely (plain softmax attention). The logits are divided
+    by sqrt(d) before the softmax. The decay enters as its two axial factors,
+    so no N x N matrix is built.
     """
     _, d = _check_qkv(q, k, v, grid)
     factors = decay_axial_pair(grid, gamma) if gamma is not None else None
-    return decayed_attention(q, k, v, factors, 1.0 / math.sqrt(d) if scale else None)
+    return decayed_attention(q, k, v, factors, 1.0 / math.sqrt(d))
 
 
 def masa_decomposed(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
-                    gamma: float | None, *, scale: bool = True) -> Tensor:
+                    gamma: float | None) -> Tensor:
     """Axis-decomposed Manhattan attention: width pass per row, then height per column.
 
     Each axis applies softmax attention weighted by its own 1D decay matrix.
@@ -159,21 +166,14 @@ def masa_decomposed(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
     """
     n_tokens, d = _check_qkv(q, k, v, grid)
     d_h, d_w = decay_axial_pair(grid, gamma) if gamma is not None else (None, None)
-    q3, k3, v3 = (reshape(t, (grid.height, grid.width, d)) for t in (q, k, v))
-    out = _decomposed(q3, k3, v3, d_h, d_w, 1.0 / math.sqrt(d) if scale else None)
+    q3, k3, v3 = (token_image(t, grid) for t in (q, k, v))
+    out = _decomposed(q3, k3, v3, d_h, d_w, 1.0 / math.sqrt(d))
     return reshape(_swap_grid_axes(out), (n_tokens, d))
 
 
 def lce(v: Tensor, grid: GridShape, kernel: Tensor) -> Tensor:
-    """Local context enhancement: depthwise conv of V laid out on the token grid."""
-    if v.ndim != 2:
-        raise DimensionError(f"lce expects [N, d] tokens, got {v.shape}")
-    n_tokens, d = v.shape
-    if n_tokens != grid.size:
-        raise DimensionError(f"{n_tokens} tokens do not fill a {grid.height}x{grid.width} grid")
-    image = reshape(transpose(v), (d, grid.height, grid.width))
-    out = depthwise_conv2d(image, kernel)
-    return transpose(reshape(out, (d, n_tokens)))
+    """Local context enhancement: depthwise conv of V on its [H, W, d] grid map."""
+    return reshape(depthwise_conv2d(token_image(v, grid), kernel), v.shape)
 
 
 def masa_layer_forward(x: Tensor, params: MaSAParams, config: MaSAConfig,

@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .attention import (MaSAConfig, MaSAParams, attention_score_apply_macs, init_masa_params,
-                        lce, masa_layer_forward)
+                        lce, masa_layer_forward, token_image)
 from .decay import GridShape, gamma_schedule
 from .errors import ConfigurationError, DimensionError
 from .tensor import (Tensor, add, add_scalar, conv2d, gelu, hadamard, matmul, mean_axes,
@@ -260,10 +260,8 @@ def layer_norm(x: Tensor, norm: NormParams) -> Tensor:
 
 
 def channel_norm(image: Tensor, norm: NormParams) -> Tensor:
-    """Normalize a [C, H, W] map per channel over its spatial extent."""
-    gain = reshape(norm.gain, (norm.gain.shape[0], 1, 1))
-    bias = reshape(norm.bias, (norm.bias.shape[0], 1, 1))
-    return _normalize(image, (1, 2), gain, bias)
+    """Normalize an [H, W, C] map per channel over its spatial extent."""
+    return _normalize(image, (0, 1), norm.gain, norm.bias)
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +272,22 @@ def conv_stem(image: Tensor, stem: StemParams) -> tuple[Tensor, GridShape]:
     """Embed a [3, R, R] image into an (R/4)x(R/4) token grid.
 
     Five 3x3 convolutions with strides (2, 1, 2, 1, 1); each is followed by
-    per-channel normalization, and all but the last also by GELU.
+    per-channel normalization, and all but the last also by GELU. The image
+    turns channels-last once, on entry; the final [R/4, R/4, C] map reshapes to tokens.
     """
     if image.ndim != 3 or image.shape[0] != 3:
         raise DimensionError(f"stem expects a [3, R, R] image, got {image.shape}")
     if image.shape[1] != image.shape[2] or image.shape[1] % 4:
         raise ConfigurationError(f"stem needs a square resolution divisible by 4, got {image.shape}")
-    h = image
+    h = transpose(image, (1, 2, 0))
     last = len(stem.convs) - 1
     for i, (conv, norm) in enumerate(zip(stem.convs, stem.norms)):
         h = conv2d(h, conv.weight, conv.bias, stride=STEM_STRIDES[i], padding=1)
         h = channel_norm(h, norm)
         if i != last:
             h = gelu(h)
-    channels, grid_h, grid_w = h.shape
-    tokens = transpose(reshape(h, (channels, grid_h * grid_w)))
-    return tokens, GridShape(grid_h, grid_w)
+    grid_h, grid_w, channels = h.shape
+    return reshape(h, (grid_h * grid_w, channels)), GridShape(grid_h, grid_w)
 
 
 def cpe(x: Tensor, grid: GridShape, kernel: Tensor) -> Tensor:
@@ -315,13 +313,9 @@ def downsample(x: Tensor, grid: GridShape, conv: ConvParams) -> tuple[Tensor, Gr
     """Halve each grid side with a stride-2 3x3 convolution, remapping channels."""
     if grid.height % 2 or grid.width % 2:
         raise ConfigurationError(f"downsample needs even grid sides, got {grid.height}x{grid.width}")
-    n, channels = x.shape
-    if n != grid.size:
-        raise DimensionError(f"{n} tokens do not fill a {grid.height}x{grid.width} grid")
-    image = reshape(transpose(x), (channels, grid.height, grid.width))
-    out = conv2d(image, conv.weight, conv.bias, stride=2, padding=1)
-    c_out, h2, w2 = out.shape
-    return transpose(reshape(out, (c_out, h2 * w2))), GridShape(h2, w2)
+    out = conv2d(token_image(x, grid), conv.weight, conv.bias, stride=2, padding=1)
+    h2, w2, c_out = out.shape
+    return reshape(out, (h2 * w2, c_out)), GridShape(h2, w2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 and the training demo.
 
 Grammar: ``masa-kit <dump-decay|model-stats|scaling|train-demo> [flags]``.
-Every subcommand exits 0 on success and nonzero with a one-line diagnostic on
-failure. Set ``MASA_KIT_THREADS`` to pin the numeric worker count; the
-package applies it before numpy loads and the value lands in the benchmark
-CSV's ``workers`` column.
+Every subcommand exits 0 on success and 1 with a one-line ``error:`` diagnostic
+on failure, usage errors included. Set ``MASA_KIT_THREADS`` to pin the numeric
+worker count; the package applies it before numpy loads and the value lands
+in the benchmark CSV's ``workers`` column.
 """
 
 from __future__ import annotations
@@ -192,9 +192,15 @@ def cmd_train_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ``MasaKitError``, so it too ends in one ``error:`` line and exit 1."""
+
+    def error(self, message: str):
+        raise MasaKitError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="masa-kit",
-                                     description="Manhattan self-attention toolkit")
+    parser = _Parser(prog="masa-kit", description="Manhattan self-attention toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dump-decay", help="write a Manhattan decay matrix as CSV")
@@ -236,8 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            raise MasaKitError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except MasaKitError as exc:
         print(f"error: {exc}", file=sys.stderr)

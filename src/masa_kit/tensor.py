@@ -3,7 +3,8 @@
 Just large enough for spatial-decay attention experiments: batched matmul,
 numerically stable softmax, a fused decayed-softmax attention op, elementwise
 arithmetic, reductions, shape moves, and 2D convolutions, each with a
-hand-written adjoint. Every operation that
+hand-written adjoint. Feature maps are channels-last, [H, W, C], so an
+image and its [H*W, C] token grid are one reshape apart. Every operation that
 returns successfully yields finite values; NaN or Inf raises ``UsageError``.
 
 A ``Tensor`` is immutable after construction except for gradient population,
@@ -145,9 +146,8 @@ def _result(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad = t.grad + g
+    # no gradient is written in place, so the first is kept as given, even a view
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -449,10 +449,9 @@ def _row_blocks(batch: int, length: int) -> list[tuple[int, int]]:
     return [(start, min(start + step, length)) for start in range(0, length, step)]
 
 
-def _softmax_rows(q_rows: np.ndarray, kt: np.ndarray, scale: float | None) -> np.ndarray:
+def _softmax_rows(q_rows: np.ndarray, kt: np.ndarray, scale: float) -> np.ndarray:
     s = q_rows @ kt
-    if scale is not None:
-        s *= scale
+    s *= scale
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
@@ -468,15 +467,14 @@ def _decay_rows(a: np.ndarray, b: np.ndarray, start: int, stop: int) -> np.ndarr
 
 
 def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Tensor] | None,
-                      scale: float | None) -> Tensor:
+                      scale: float) -> Tensor:
     """softmax(scale * q k^T), times a decay D entrywise without renormalizing, applied to v.
 
     ``q`` and ``k`` are [..., L, d] and ``v`` is [..., L, dv], with the same
     leading (batch) axes. ``factors`` is None (no decay) or a pair of constant
     tensors a [..., Ha, Ha] and b [..., Wb, Wb] with Ha * Wb = L, whose leading
     axes broadcast to the batch; D is their Kronecker product,
-    D[n, m] = a[n // Wb, m // Wb] * b[n % Wb, m % Wb]. ``scale=None`` leaves
-    the logits unscaled.
+    D[n, m] = a[n // Wb, m // Wb] * b[n % Wb, m % Wb].
 
     Query rows run in blocks of about ``ATTENTION_BLOCK_ELEMENTS`` logits. A
     row's softmax needs only its own keys, so the blocks are exact, and the
@@ -539,8 +537,7 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
                     ds *= decay
                 ds -= delta[rows]
                 ds *= p
-                if scale is not None:
-                    ds *= scale
+                ds *= scale
                 if dq is not None:
                     dq[rows] = ds @ kd
                 if dk is not None:
@@ -559,12 +556,12 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
 def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     """Per-channel 2D cross-correlation with zero padding that preserves H and W.
 
-    ``x`` is [C, H, W], ``kernel`` is [C, k, k] with odd k.
+    ``x`` is [H, W, C], ``kernel`` is [C, k, k] with odd k.
     """
     x, kernel = _ensure(x), _ensure(kernel)
     if x.ndim != 3 or kernel.ndim != 3:
-        raise DimensionError(f"depthwise_conv2d needs [C,H,W] and [C,k,k], got {x.shape} and {kernel.shape}")
-    c, h, w = x.shape
+        raise DimensionError(f"depthwise_conv2d needs [H,W,C] and [C,k,k], got {x.shape} and {kernel.shape}")
+    h, w, c = x.shape
     ck, kh, kw = kernel.shape
     if kh != kw:
         raise DimensionError(f"depthwise kernel must be square, got {kernel.shape}")
@@ -573,11 +570,11 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     if ck != c:
         raise DimensionError(f"channel mismatch: input has {c} channels, kernel has {ck}")
     pad = kh // 2
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
+    xp = np.pad(x.data, ((pad, pad), (pad, pad), (0, 0)))
     data = np.zeros_like(x.data)
     for i in range(kh):
         for j in range(kw):
-            data += kernel.data[:, i, j][:, None, None] * xp[:, i:i + h, j:j + w]
+            data += kernel.data[:, i, j] * xp[i:i + h, j:j + w]
     _record_macs(c * h * w * kh * kw)
     out = _result(data, (x, kernel))
     if out.requires_grad:
@@ -586,13 +583,13 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
                 gp = np.zeros_like(xp)
                 for i in range(kh):
                     for j in range(kw):
-                        gp[:, i:i + h, j:j + w] += kernel.data[:, i, j][:, None, None] * g
-                _accum(x, gp[:, pad:pad + h, pad:pad + w])
+                        gp[i:i + h, j:j + w] += kernel.data[:, i, j] * g
+                _accum(x, gp[pad:pad + h, pad:pad + w])
             if kernel.requires_grad:
                 kg = np.empty_like(kernel.data)
                 for i in range(kh):
                     for j in range(kw):
-                        kg[:, i, j] = (g * xp[:, i:i + h, j:j + w]).sum(axis=(1, 2))
+                        kg[:, i, j] = (g * xp[i:i + h, j:j + w]).sum(axis=(0, 1))
                 _accum(kernel, kg)
         out._backward = vjp
     return out
@@ -600,11 +597,11 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2D cross-correlation: [Cin,H,W] with [Cout,Cin,k,k] -> [Cout,Ho,Wo]."""
+    """2D cross-correlation: [H,W,Cin] with [Cout,Cin,k,k] -> [Ho,Wo,Cout]."""
     x, weight = _ensure(x), _ensure(weight)
     if x.ndim != 3 or weight.ndim != 4:
-        raise DimensionError(f"conv2d needs [Cin,H,W] and [Cout,Cin,k,k], got {x.shape} and {weight.shape}")
-    cin, h, w = x.shape
+        raise DimensionError(f"conv2d needs [H,W,Cin] and [Cout,Cin,k,k], got {x.shape} and {weight.shape}")
+    h, w, cin = x.shape
     cout, cin_w, kh, kw = weight.shape
     if cin_w != cin:
         raise DimensionError(f"channel mismatch: input has {cin} channels, weight expects {cin_w}")
@@ -615,33 +612,33 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     wo = (w + 2 * p - k) // s + 1
     if ho < 1 or wo < 1:
         raise DimensionError(f"conv2d output would be empty for input {x.shape}, k={k}, stride={s}, padding={p}")
-    xp = np.pad(x.data, ((0, 0), (p, p), (p, p)))
-    windows = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]  # [Cin,Ho,Wo,k,k]
-    cols = windows.transpose(1, 2, 0, 3, 4).reshape(ho * wo, cin * k * k)
+    xp = np.pad(x.data, ((p, p), (p, p), (0, 0)))
+    # windows are [Ho, Wo, Cin, k, k]: one row of cols per output pixel, columns in (cin, i, j) order
+    cols = sliding_window_view(xp, (k, k), axis=(0, 1))[::s, ::s].reshape(ho * wo, cin * k * k)
     wmat = weight.data.reshape(cout, cin * k * k)
-    data = (cols @ wmat.T).T.reshape(cout, ho, wo)
+    data = (cols @ wmat.T).reshape(ho, wo, cout)
     _record_macs(cout * ho * wo * cin * k * k)
     if bias is not None:
         bias = _ensure(bias)
         if bias.shape != (cout,):
             raise DimensionError(f"conv2d bias must have shape ({cout},), got {bias.shape}")
-        data = data + bias.data[:, None, None]
+        data = data + bias.data
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = _result(data, parents)
     if out.requires_grad:
         def vjp(g: np.ndarray) -> None:
-            gmat = g.reshape(cout, ho * wo).T
+            gmat = g.reshape(ho * wo, cout)
             if weight.requires_grad:
                 _accum(weight, (gmat.T @ cols).reshape(weight.shape))
             if x.requires_grad:
-                dcols = (gmat @ wmat).reshape(ho, wo, cin, k, k).transpose(2, 0, 1, 3, 4)
+                dcols = (gmat @ wmat).reshape(ho, wo, cin, k, k)
                 gxp = np.zeros_like(xp)
                 for i in range(k):
                     for j in range(k):
-                        gxp[:, i:i + s * ho:s, j:j + s * wo:s] += dcols[:, :, :, i, j]
-                _accum(x, gxp[:, p:p + h, p:p + w])
+                        gxp[i:i + s * ho:s, j:j + s * wo:s] += dcols[..., i, j]
+                _accum(x, gxp[p:p + h, p:p + w])
             if bias is not None and bias.requires_grad:
-                _accum(bias, g.sum(axis=(1, 2)))
+                _accum(bias, g.sum(axis=(0, 1)))
         out._backward = vjp
     return out
 

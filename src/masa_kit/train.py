@@ -191,7 +191,7 @@ def train_step(state: TrainState, batch_size: int) -> float:
 
 
 def evaluate(state: TrainState) -> tuple[float, float]:
-    """Mean loss and accuracy over the whole dataset (no gradient tracking)."""
+    """Mean loss and accuracy over the whole dataset; each forward still builds its tape."""
     total_loss, correct = 0.0, 0
     for sample in state.data:
         logits = forward_classify(state.model, sample.image)

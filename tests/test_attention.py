@@ -33,10 +33,8 @@ def manhattan_weights(height, width, gamma):
     return gamma ** (np.abs(x[:, None] - x[None, :]) + np.abs(y[:, None] - y[None, :]))
 
 
-def masa_full_oracle(q, k, v, height, width, gamma, scale=True):
-    logits = q @ k.T
-    if scale:
-        logits = logits / math.sqrt(q.shape[1])
+def masa_full_oracle(q, k, v, height, width, gamma):
+    logits = q @ k.T / math.sqrt(q.shape[1])
     weights = np_softmax_rows(logits)
     if gamma is not None:
         weights = weights * manhattan_weights(height, width, gamma)
@@ -46,9 +44,7 @@ def masa_full_oracle(q, k, v, height, width, gamma, scale=True):
 def composite_attend(q, k, v, decay, scale):
     """The unfused MaSA step on the tape, one op each: logits, scale, softmax, decay, apply."""
     n = k.ndim
-    logits = matmul(q, transpose(k, tuple(range(n - 2)) + (n - 1, n - 2)))
-    if scale is not None:
-        logits = mul_scalar(logits, scale)
+    logits = mul_scalar(matmul(q, transpose(k, tuple(range(n - 2)) + (n - 1, n - 2))), scale)
     weights = softmax_last(logits)
     if decay is not None:
         weights = hadamard(weights, decay)
@@ -157,13 +153,12 @@ class TestMasaFull:
         expected = masa_full_oracle(q.data, k.data, v.data, 3, 3, None)
         assert np.max(np.abs(out.data - expected)) < 1e-12
 
-    @pytest.mark.parametrize("scale", [True, False])
-    def test_against_brute_force_oracle(self, scale):
+    def test_against_brute_force_oracle(self):
         rng = np.random.default_rng(9)
         grid = GridShape(2, 2)
         q, k, v = (rand(rng, 4, 3) for _ in range(3))
-        out = masa_full(q, k, v, grid, 0.5, scale=scale)
-        expected = masa_full_oracle(q.data, k.data, v.data, 2, 2, 0.5, scale=scale)
+        out = masa_full(q, k, v, grid, 0.5)
+        expected = masa_full_oracle(q.data, k.data, v.data, 2, 2, 0.5)
         assert np.max(np.abs(out.data - expected)) < 1e-12
 
     def test_rows_not_renormalized_after_decay(self):
@@ -358,8 +353,8 @@ def _per_head_factors(heads, height, width):
 
 def _fused_case(name):
     """(q/k/v shape, factor arrays or None, scale) for one named case."""
-    if name == "no-decay-no-scale":
-        return (6, 4), None, None
+    if name == "no-decay":
+        return (6, 4), None, 1.0
     if name in ("grid-2x3", "grid-3x5"):
         height, width = (2, 3) if name == "grid-2x3" else (3, 5)
         d_h, d_w = decay_axial_pair(GridShape(height, width), 0.7)
@@ -374,7 +369,7 @@ def _fused_case(name):
     raise ValueError(name)
 
 
-_FUSED_CASES = ["no-decay-no-scale", "grid-2x3", "grid-3x5", "axis-1d", "per-head-full",
+_FUSED_CASES = ["no-decay", "grid-2x3", "grid-3x5", "axis-1d", "per-head-full",
                 "per-head-axis"]
 
 

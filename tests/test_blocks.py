@@ -1,6 +1,8 @@
 """Backbone assembly: stem, blocks, downsampling, accounting, presets."""
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,6 +347,15 @@ class TestBuildAndForward:
         logits = forward_classify(model, Tensor(np.random.default_rng(18).standard_normal((3, 32, 32))))
         assert logits.shape == (10,)
         assert np.isfinite(logits.data).all()
+
+    def test_rmt_t_224_seed_0_logits_match_the_stored_fixture(self):
+        # the fixture is the benchmark's record of these logits; this test only reads it
+        fixture = Path(__file__).resolve().parents[1] / "perfbench" / "rmt_t_224_logits.json"
+        expected = np.array(json.loads(fixture.read_text()))
+        model = build_backbone(preset_config("rmt-t"), seed=0)
+        logits = forward_classify(model, Tensor(np.random.default_rng(0).normal(size=(3, 224, 224))))
+        assert logits.shape == expected.shape
+        assert np.max(np.abs(logits.data - expected)) < 1e-9
 
     def test_resolution_mismatch_rejected(self):
         model = build_backbone(preset_config("tiny"), seed=0)

@@ -101,10 +101,10 @@ class TestModelStats:
         assert "parameters: 287914" in capsys.readouterr().out
 
     def test_unknown_preset_is_a_usage_error_listing_presets(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli("model-stats", "--preset", "rmt-xxl")
-        assert excinfo.value.code == 2
-        assert "rmt-t" in capsys.readouterr().err
+        assert run_cli("model-stats", "--preset", "rmt-xxl") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "rmt-t" in lines[0]
 
 
 class TestScaling:
@@ -220,6 +220,14 @@ _CONFIG = ["model-stats", "--config", "{dir}/cfg.json"]
                  id="train-demo-zero-steps"),
     pytest.param(["train-demo", "--samples", "0", "--out", "{dir}/m.csv"], None, "--samples",
                  id="train-demo-zero-samples"),
+    pytest.param(["train-demo", "--seed", "-1", "--out", "{dir}/m.csv"], None, "--seed",
+                 id="train-demo-negative-seed"),
+    pytest.param(["scaling", "--seed", "-1", "--out", "{dir}/b.csv"], None, "--seed",
+                 id="scaling-negative-seed"),
+    pytest.param(["dump-decay", "--height", "x", "--width", "2", "--gamma", "0.5",
+                  "--out", "{dir}/d.csv"], None, "--height", id="usage-non-numeric-height"),
+    pytest.param(["scaling"], None, "--out", id="usage-missing-required-flag"),
+    pytest.param([], None, "command", id="usage-no-subcommand"),
 ])
 def test_bad_input_gives_one_error_line_and_exit_1(tmp_path, argv, config_text, named):
     if config_text is not None:

@@ -71,6 +71,16 @@ def conv2d_oracle(x, w, b, stride, pad):
     return out
 
 
+def hwc(a):
+    """A [C, H, W] oracle array in the channels-last [H, W, C] layout the conv ops take."""
+    return np.moveaxis(a, 0, -1)
+
+
+def chw(a):
+    """A channels-last conv output back in the [C, H, W] layout of the oracles."""
+    return np.moveaxis(a, -1, 0)
+
+
 # ---------------------------------------------------------------------------
 # matmul
 
@@ -187,29 +197,29 @@ class TestDepthwiseConv:
         x = rng.standard_normal((2, 4, 4))
         k = np.zeros((2, 3, 3))
         k[:, 1, 1] = 1.0
-        np.testing.assert_allclose(depthwise_conv2d(Tensor(x), Tensor(k)).data, x, atol=1e-15)
+        np.testing.assert_allclose(chw(depthwise_conv2d(Tensor(hwc(x)), Tensor(k)).data), x, atol=1e-15)
 
     def test_ones_kernel_counts_zero_padded_support(self):
-        out = depthwise_conv2d(Tensor(np.ones((1, 5, 5))), Tensor(np.ones((1, 3, 3))))
-        assert out.data[0, 2, 2] == 9.0
-        assert out.data[0, 0, 0] == 4.0
-        assert out.data[0, 0, 4] == 4.0
-        assert out.data[0, 0, 2] == 6.0
+        out = chw(depthwise_conv2d(Tensor(hwc(np.ones((1, 5, 5)))), Tensor(np.ones((1, 3, 3)))).data)
+        assert out[0, 2, 2] == 9.0
+        assert out[0, 0, 0] == 4.0
+        assert out[0, 0, 4] == 4.0
+        assert out[0, 0, 2] == 6.0
 
     def test_against_quadruple_loop_oracle(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2, 4, 4))
         k = rng.standard_normal((2, 3, 3))
-        out = depthwise_conv2d(Tensor(x), Tensor(k))
-        assert np.max(np.abs(out.data - dwconv_oracle(x, k))) < 1e-12
+        out = depthwise_conv2d(Tensor(hwc(x)), Tensor(k))
+        assert np.max(np.abs(chw(out.data) - dwconv_oracle(x, k))) < 1e-12
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigurationError):
-            depthwise_conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 2, 2))))
+            depthwise_conv2d(Tensor(hwc(np.zeros((1, 4, 4)))), Tensor(np.zeros((1, 2, 2))))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            depthwise_conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 3, 3))))
+            depthwise_conv2d(Tensor(hwc(np.zeros((2, 4, 4)))), Tensor(np.zeros((3, 3, 3))))
 
 
 class TestConv2d:
@@ -219,13 +229,13 @@ class TestConv2d:
         x = rng.standard_normal((3, 6, 6))
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
-        assert np.max(np.abs(out.data - conv2d_oracle(x, w, b, stride, padding))) < 1e-12
+        out = conv2d(Tensor(hwc(x)), Tensor(w), Tensor(b), stride=stride, padding=padding)
+        assert np.max(np.abs(chw(out.data) - conv2d_oracle(x, w, b, stride, padding))) < 1e-12
 
     def test_strided_output_shape(self):
-        out = conv2d(Tensor(np.zeros((2, 8, 8))), Tensor(np.zeros((5, 2, 3, 3))),
+        out = conv2d(Tensor(hwc(np.zeros((2, 8, 8)))), Tensor(np.zeros((5, 2, 3, 3))),
                      stride=2, padding=1)
-        assert out.shape == (5, 4, 4)
+        assert chw(out.data).shape == (5, 4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +287,16 @@ class TestBackward:
         doubled = a + a  # two paths back to the same leaf
         backward(sum_all(doubled))
         np.testing.assert_array_equal(a.grad, np.full(2, 2.0))
+
+    def test_shared_gradient_is_not_accumulated_in_place(self):
+        # add(s, a) hands s and a the same gradient array; summing into it in
+        # place would also change s's gradient before s passes it on to a and b
+        rng = np.random.default_rng(9)
+        a, b, c = (Tensor(rng.standard_normal(3), requires_grad=True) for _ in range(3))
+        s = a + b
+        backward(sum_all(hadamard(s + a, c)))
+        np.testing.assert_array_equal(a.grad, 2 * c.data)
+        np.testing.assert_array_equal(b.grad, c.data)
 
     def test_non_finite_values_rejected(self):
         with pytest.raises(UsageError):
@@ -331,7 +351,7 @@ def test_powf_gradient_on_positive_input():
 
 def test_conv_gradients_match_finite_differences():
     rng = np.random.default_rng(8)
-    x = Tensor(rng.uniform(-2, 2, (2, 4, 4)))
+    x = Tensor(hwc(rng.uniform(-2, 2, (2, 4, 4))))
     k = Tensor(rng.uniform(-2, 2, (2, 3, 3)))
     err, _ = finite_diff_gradcheck(lambda i: sum_all(depthwise_conv2d(i[0], i[1])), [x, k])
     assert err < 1e-6
