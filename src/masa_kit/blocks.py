@@ -24,15 +24,14 @@ from .attention import (MaSAConfig, MaSAParams, attention_score_apply_macs, init
                         lce, masa_layer_forward, token_image)
 from .decay import GridShape, gamma_schedule
 from .errors import ConfigurationError, DimensionError
-from .tensor import (Tensor, add, add_scalar, conv2d, gelu, hadamard, matmul, mean_axes,
-                     powf, reshape, sub, transpose, trunc_normal)
+from .tensor import (Tensor, add, conv2d, gelu, matmul, mean_axes, normalize, reshape,
+                     transpose, trunc_normal)
 
 STEM_STRIDES = (2, 1, 2, 1, 1)
 STEM_KERNEL = 3
 CPE_KERNEL = 3
 LCE_KERNEL = 5
 DOWNSAMPLE_KERNEL = 3
-NORM_EPS = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -246,22 +245,14 @@ def _named_tensors(prefix: str, value) -> Iterator[tuple[str, Tensor]]:
 # Normalization
 
 
-def _normalize(x: Tensor, axes: tuple[int, ...], gain: Tensor, bias: Tensor) -> Tensor:
-    mu = mean_axes(x, axes, keepdims=True)
-    centered = sub(x, mu)
-    var = mean_axes(hadamard(centered, centered), axes, keepdims=True)
-    inv = powf(add_scalar(var, NORM_EPS), -0.5)
-    return add(hadamard(hadamard(centered, inv), gain), bias)
-
-
 def layer_norm(x: Tensor, norm: NormParams) -> Tensor:
     """Normalize [N, C] tokens over the channel axis with per-channel affine."""
-    return _normalize(x, (-1,), norm.gain, norm.bias)
+    return normalize(x, (-1,), norm.gain, norm.bias)
 
 
 def channel_norm(image: Tensor, norm: NormParams) -> Tensor:
     """Normalize an [H, W, C] map per channel over its spatial extent."""
-    return _normalize(image, (0, 1), norm.gain, norm.bias)
+    return normalize(image, (0, 1), norm.gain, norm.bias)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +324,8 @@ def build_backbone(config: ModelConfig, seed: int) -> Model:
     Projections and conv kernels draw truncated-normal values (sigma 0.02),
     biases start at zero, and norm gains at one.
     """
+    if seed < 0:
+        raise ConfigurationError(f"model seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
 
     def w(*shape):

@@ -53,6 +53,17 @@ def _fmt(value: float) -> str:
     return np.format_float_positional(value, unique=True, trim="-")
 
 
+def _check_writable(path: Path) -> None:
+    """Fail before the work, not after it, if ``path`` cannot be written; leaves no new file."""
+    existed = path.exists()
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise MasaKitError(f"cannot write {path}: {exc}") from exc
+    if not existed:
+        path.unlink()
+
+
 def _write_csv(path: Path, header: list[str] | None, rows: list[list[str]]) -> None:
     try:
         with open(path, "w", newline="") as fh:
@@ -139,6 +150,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         raise MasaKitError(f"--head-dim must be positive, got {args.head_dim}")
     if args.repeats < 3:
         raise MasaKitError(f"need at least 3 repeats for a stable median, got {args.repeats}")
+    _check_writable(Path(args.out))
     capped = [min(s, MAX_BENCH_SIDE) for s in sides]
     if capped != sides:
         print(f"note: sides capped at {MAX_BENCH_SIDE} to bound memory", file=sys.stderr)
@@ -179,6 +191,7 @@ def cmd_train_demo(args: argparse.Namespace) -> int:
     for flag, value in (("--steps", args.steps), ("--samples", args.samples)):
         if value < 1:
             raise MasaKitError(f"{flag} must be positive, got {value}")
+    _check_writable(Path(args.out))
     model_config = blocks.preset_config("tiny")
     data_config = train.DataConfig(seed=args.seed, n=args.samples,
                                    resolution=model_config.input_resolution, num_classes=2)

@@ -1,11 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Just large enough for spatial-decay attention experiments: batched matmul,
-numerically stable softmax, a fused decayed-softmax attention op, elementwise
-arithmetic, reductions, shape moves, and 2D convolutions, each with a
-hand-written adjoint. Feature maps are channels-last, [H, W, C], so an
-image and its [H*W, C] token grid are one reshape apart. Every operation that
-returns successfully yields finite values; NaN or Inf raises ``UsageError``.
+numerically stable softmax, fused decayed-softmax attention and normalization
+ops, elementwise arithmetic, reductions, shape moves, and 2D convolutions,
+each with a hand-written adjoint. Feature maps are channels-last, [H, W, C],
+so an image and its [H*W, C] token grid are one reshape apart. Every operation
+that returns successfully yields finite values; NaN or Inf raises ``UsageError``.
 
 A ``Tensor`` is immutable after construction except for gradient population,
 and a gradient tape must stay on the thread that built it. Multiply-accumulate
@@ -108,11 +108,9 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar; scalars go through the *_scalar ops.
+    # Arithmetic sugar; a scalar addend becomes a constant tensor.
     def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, float(other))
+        return add(self, other)
 
     __radd__ = __add__
 
@@ -124,9 +122,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_scalar(self, -float(other))
+        return add(self, neg(other))
 
     def __neg__(self):
         return neg(self)
@@ -159,6 +155,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if squeeze:
         g = g.sum(axis=squeeze, keepdims=True)
     return g
+
+
+def _broadcasts_to(target: tuple[int, ...], *shapes: tuple[int, ...]) -> bool:
+    try:
+        return np.broadcast_shapes(target, *shapes) == target
+    except ValueError:
+        return False
 
 
 def _broadcast_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -232,10 +235,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, neg(b))
-
-
 def neg(a: Tensor) -> Tensor:
     a = _ensure(a)
     out = _result(-a.data, (a,))
@@ -265,24 +264,6 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
     out = _result(a.data * c, (a,))
     if out.requires_grad:
         out._backward = lambda g: _accum(a, g * c)
-    return out
-
-
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    a = _ensure(a)
-    out = _result(a.data + float(c), (a,))
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, g)
-    return out
-
-
-def powf(a: Tensor, p: float) -> Tensor:
-    """Elementwise power with float exponent (inputs must keep the result finite)."""
-    a = _ensure(a)
-    p = float(p)
-    out = _result(a.data ** p, (a,))
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, g * p * a.data ** (p - 1.0))
     return out
 
 
@@ -394,12 +375,15 @@ def sum_all(a: Tensor) -> Tensor:
     return out
 
 
-def sum_axes(a: Tensor, axes: tuple[int, ...], keepdims: bool = False) -> Tensor:
+def mean_axes(a: Tensor, axes: tuple[int, ...], keepdims: bool = False) -> Tensor:
+    """Mean over ``axes``, computed as the sum times 1 / count."""
     a = _ensure(a)
     axes = tuple(ax % a.ndim for ax in axes)
-    out = _result(a.data.sum(axis=axes, keepdims=keepdims), (a,))
+    scale = 1.0 / int(np.prod([a.shape[ax] for ax in axes], dtype=np.int64))
+    out = _result(a.data.sum(axis=axes, keepdims=keepdims) * scale, (a,))
     if out.requires_grad:
         def vjp(g: np.ndarray) -> None:
+            g = g * scale
             if not keepdims:
                 g = np.expand_dims(g, axes)
             _accum(a, np.broadcast_to(g, a.shape).copy())
@@ -407,10 +391,40 @@ def sum_axes(a: Tensor, axes: tuple[int, ...], keepdims: bool = False) -> Tensor
     return out
 
 
-def mean_axes(a: Tensor, axes: tuple[int, ...], keepdims: bool = False) -> Tensor:
-    a = _ensure(a)
-    count = int(np.prod([a.shape[ax % a.ndim] for ax in axes], dtype=np.int64))
-    return mul_scalar(sum_axes(a, axes, keepdims=keepdims), 1.0 / count)
+NORM_EPS = 1e-6
+
+
+def normalize(x: Tensor, axes: tuple[int, ...], gain: Tensor, bias: Tensor) -> Tensor:
+    """x_hat * gain + bias, with x_hat = (x - mean) * inv and inv = (var + NORM_EPS) ** -0.5 over ``axes``.
+
+    ``gain`` and ``bias`` broadcast to the shape of ``x``. The adjoint is the layer-norm
+    one (Ba et al., 2016): dx = inv * (gx - mean(gx) - x_hat * mean(gx * x_hat)), gx = g * gain.
+    """
+    x, gain, bias = _ensure(x), _ensure(gain), _ensure(bias)
+    if not _broadcasts_to(x.shape, gain.shape, bias.shape):
+        raise DimensionError(f"normalize: gain {gain.shape} and bias {bias.shape} "
+                             f"do not broadcast to {x.shape}")
+    axes = tuple(ax % x.ndim for ax in axes)
+    scale = 1.0 / int(np.prod([x.shape[ax] for ax in axes], dtype=np.int64))
+
+    def mean(t: np.ndarray) -> np.ndarray:
+        return t.sum(axis=axes, keepdims=True) * scale
+
+    centered = x.data - mean(x.data)
+    inv = (mean(centered * centered) + NORM_EPS) ** -0.5
+    x_hat = centered * inv
+    out = _result(x_hat * gain.data + bias.data, (x, gain, bias))
+    if out.requires_grad:
+        def vjp(g: np.ndarray) -> None:
+            if x.requires_grad:
+                gx = g * gain.data
+                _accum(x, inv * (gx - mean(gx) - x_hat * mean(gx * x_hat)))
+            if gain.requires_grad:
+                _accum(gain, _unbroadcast(g * x_hat, gain.shape))
+            if bias.requires_grad:
+                _accum(bias, _unbroadcast(g, bias.shape))
+        out._backward = vjp
+    return out
 
 
 def softmax_last(a: Tensor) -> Tensor:
@@ -495,11 +509,7 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
         if (a.ndim < 2 or b.ndim < 2 or a.shape[-1] != a.shape[-2] or b.shape[-1] != b.shape[-2]
                 or a.shape[-1] * b.shape[-1] != length):
             raise DimensionError(f"decay factors {a.shape} and {b.shape} do not span {length} keys")
-        try:
-            fits = np.broadcast_shapes(a.shape[:-2], b.shape[:-2], batch) == batch
-        except ValueError:
-            fits = False
-        if not fits:
+        if not _broadcasts_to(batch, a.shape[:-2], b.shape[:-2]):
             raise DimensionError(f"decay factors {a.shape} and {b.shape} do not broadcast to batch {batch}")
         fa, fb = a.data, b.data
     qd, kd, vd = q.data, k.data, v.data

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .blocks import Model, ModelConfig, build_backbone, forward_classify
-from .errors import TrainingError, UsageError
+from .errors import ConfigurationError, TrainingError, UsageError
 from .tensor import Tensor, backward, log_softmax_last, mul_scalar, neg, slice_axis, sum_all
 
 
@@ -32,6 +32,11 @@ class DataConfig:
     resolution: int
     num_classes: int
     batch_size: int = 8
+
+    def __post_init__(self) -> None:
+        for name, least in (("seed", 0), ("n", 1), ("num_classes", 1), ("batch_size", 1)):
+            if getattr(self, name) < least:
+                raise ConfigurationError(f"data {name} must be at least {least}, got {getattr(self, name)}")
 
 
 NOISE_STD = 0.1
@@ -150,6 +155,10 @@ class TrainState:
 
 def init_train_state(model_config: ModelConfig, data_config: DataConfig, steps: int,
                      seed: int = 0, lr: float = 1e-3, weight_decay: float = 0.05) -> TrainState:
+    for name, wanted in (("num_classes", model_config.num_classes),
+                         ("resolution", model_config.input_resolution)):
+        if getattr(data_config, name) != wanted:
+            raise ConfigurationError(f"data {name} {getattr(data_config, name)} is not the model's {wanted}")
     model = build_backbone(model_config, seed)
     params = model.parameters()
     data = synth_dataset(data_config.seed, data_config.n, data_config.resolution,

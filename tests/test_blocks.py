@@ -15,8 +15,9 @@ from masa_kit import (ConfigurationError, GridShape, ModelConfig, StageConfig, T
                       build_backbone, conv_stem, count_flops, count_params,
                       count_params_analytic, cpe, downsample, ffn, forward_classify,
                       preset_config, rmt_block, stage_grids)
-from masa_kit.blocks import PRESET_NAMES, ConvParams, NormParams, StemParams
-from masa_kit.train import finite_diff_gradcheck
+from masa_kit.blocks import (PRESET_NAMES, ConvParams, NormParams, StemParams, channel_norm,
+                             layer_norm)
+from masa_kit.train import cross_entropy, finite_diff_gradcheck, synth_dataset
 
 # Any value a JSON document can hold, as Python's json module parses it.
 _JSON_VALUES = st.recursive(
@@ -318,6 +319,10 @@ class TestBuildAndForward:
         for p1, p2 in zip(m1.parameters(), m2.parameters()):
             np.testing.assert_array_equal(p1.data, p2.data)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed"):
+            build_backbone(preset_config("tiny"), seed=-1)
+
     def test_different_seed_changes_parameters(self):
         cfg = preset_config("tiny")
         m1 = build_backbone(cfg, seed=1)
@@ -374,6 +379,24 @@ class TestBuildAndForward:
         assert len(params) == len(named)
         assert all(p is q for (_, p), q in zip(named, params))
         assert sum(p.size for _, p in named) == count_params_analytic(cfg)
+
+
+class TestTapeSize:
+    """Exact tape node counts, so splitting a fused op back into primitives fails here."""
+
+    @pytest.mark.parametrize("norm_fn,shape", [(layer_norm, (6, 4)), (channel_norm, (3, 2, 4))],
+                             ids=["layer_norm", "channel_norm"])
+    def test_a_norm_is_one_node_over_its_three_leaves(self, norm_fn, shape):
+        x = Tensor(np.random.default_rng(21).standard_normal(shape), requires_grad=True)
+        norm = NormParams(gain=Tensor(np.ones(4), requires_grad=True),
+                          bias=Tensor(np.zeros(4), requires_grad=True))
+        assert len(mk.tape_for(mk.sum_all(norm_fn(x, norm))).nodes) == 5
+
+    def test_tiny_forward_and_cross_entropy(self):
+        model = build_backbone(preset_config("tiny"), seed=0)
+        sample = synth_dataset(0, 1, 32, 2)[0]
+        loss = cross_entropy(forward_classify(model, sample.image), sample.label)
+        assert len(mk.tape_for(loss).nodes) == 249
 
 
 class TestAccounting:

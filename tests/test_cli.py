@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, CSV outputs, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import shutil
 import subprocess
@@ -9,7 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from masa_kit import MasaKitError, cli, preset_config, train
+from masa_kit.blocks import PRESET_NAMES
 from masa_kit.cli import main
 
 
@@ -239,6 +245,121 @@ def test_bad_input_gives_one_error_line_and_exit_1(tmp_path, argv, config_text, 
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert named in lines[0]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the command started work before checking --out")
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-demo", "--steps", "1", "--samples", "1"],
+    ["scaling", "--sides", "4", "--head-dim", "2", "--repeats", "3"],
+], ids=["train-demo", "scaling"])
+def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(train, "train_loop", _refuse)
+    for mode in list(cli._BENCH_KERNELS):
+        monkeypatch.setitem(cli._BENCH_KERNELS, mode, _refuse)
+    out = tmp_path / "missing_dir" / "m.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}"), captured.err
+    assert captured.out == ""
+    assert not out.parent.exists()
+
+
+def test_out_check_leaves_no_file_and_keeps_an_existing_one(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise MasaKitError("training failed")
+
+    monkeypatch.setattr(train, "train_loop", fail)
+    fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
+    existing.write_text("old\n")
+    for out in (fresh, existing):
+        assert main(["train-demo", "--steps", "1", "--samples", "1", "--out", str(out)]) == 1
+    assert not fresh.exists()
+    assert existing.read_text() == "old\n"
+
+
+# Each flag's values: first those a run accepts, then those it must refuse. All
+# are bounded, so any run that succeeds is small.
+_FLAG_VALUES = {
+    "--height": (["1", "3", "8"], ["-1", "0"]),
+    "--width": (["2", "8"], ["-1", "0"]),
+    "--gamma": (["0.5", "0.9"], ["0", "1", "1.5", "-0.5", "nan", "inf"]),
+    "--decomposed": None,
+    "--kron-check": None,
+    "--preset": (list(PRESET_NAMES), ["rmt-xxl"]),
+    "--config": (["{dir}/cfg.json"], ["{dir}/bad.json", "{dir}/absent.json"]),
+    "--resolution": (["32", "64"], ["36", "0", "-32"]),
+    "--modes": (["full", "decomposed,vanilla"], ["", "bogus"]),
+    "--sides": (["2", "4,8"], ["", "1", "a,b"]),
+    "--head-dim": (["1", "8"], ["-1", "0"]),
+    "--repeats": (["3"], ["2"]),
+    "--seed": (["0", "3"], ["-1"]),
+    "--steps": (["1", "2"], ["-1", "0"]),
+    "--samples": (["1", "4"], ["0"]),
+    "--eval-interval": (["1", "2"], ["0"]),
+    "--out": (["{dir}/o.csv"], ["{dir}/missing/o.csv", "{dir}"]),
+}
+_COMMAND_FLAGS = {
+    "dump-decay": ["--height", "--width", "--gamma", "--out", "--decomposed", "--kron-check"],
+    "model-stats": ["--preset", "--config", "--resolution"],
+    "scaling": ["--modes", "--sides", "--head-dim", "--repeats", "--gamma", "--seed", "--out"],
+    "train-demo": ["--seed", "--steps", "--samples", "--eval-interval", "--out"],
+}
+# Flags whose defaults would make a long run; these values come first, so a later draw can override them.
+_SMALL_DEFAULTS = {"scaling": ["--sides", "2,4"], "train-demo": ["--steps", "1", "--samples", "2"]}
+_JUNK = ["", "-", "--", "x", "-x", "--bogus", "-1", "0", "--st", "dump", "scaling"]
+
+
+def _flag_item(flag, accepted_only=False):
+    if _FLAG_VALUES[flag] is None:
+        return st.just([flag])
+    good, bad = _FLAG_VALUES[flag]
+    return st.sampled_from(good if accepted_only else good + bad).map(lambda v: [flag, v])
+
+
+_STRAY_ITEM = st.one_of(st.sampled_from(_JUNK).map(lambda t: [t]),
+                        st.sampled_from(sorted(_FLAG_VALUES)).flatmap(_flag_item))
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand (or none), most of its own flags, maybe stray tokens, in any order."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS) + [None]))
+    items = []
+    for flag in _COMMAND_FLAGS.get(command, []):
+        pick = draw(st.integers(0, 5))  # 0 leaves the flag out, 1 takes any value
+        if pick:
+            items.append(draw(_flag_item(flag, accepted_only=pick > 1)))
+    if draw(st.booleans()):
+        items += draw(st.lists(_STRAY_ITEM, min_size=1, max_size=3))
+    items = draw(st.permutations(items))
+    head = [command] + _SMALL_DEFAULTS.get(command, []) if command else []
+    return head + [token for item in items for token in item]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argv())
+def test_any_argv_exits_0_or_1_with_one_error_line(tmp_path_factory, argv):
+    """``main`` returns 0, or 1 with exactly one ``error:`` line, and lets no exception out.
+
+    ``--help`` is left out: it ends in argparse's ``SystemExit(0)``, which the
+    console-script test covers.
+    """
+    workdir = tmp_path_factory.getbasetemp() / "cli-argv"
+    workdir.mkdir(exist_ok=True)
+    (workdir / "cfg.json").write_text(preset_config("tiny").to_json())
+    (workdir / "bad.json").write_text("{not json")
+    argv = [token.format(dir=workdir) for token in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), argv
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err.getvalue())
 
 
 def test_bench_record_rejects_nonpositive_counts():

@@ -71,6 +71,24 @@ def conv2d_oracle(x, w, b, stride, pad):
     return out
 
 
+def _pow_oracle(a, p):
+    """Elementwise a ** p as a tape op: the one primitive the composite oracle below needs
+    that the library no longer has."""
+    out = mk.tensor._result(a.data ** p, (a,))
+    if out.requires_grad:
+        out._backward = lambda g: mk.tensor._accum(a, g * p * a.data ** (p - 1.0))
+    return out
+
+
+def normalize_oracle(x, axes, gain, bias):
+    """The layer norm as a composite of primitive ops, each with its own adjoint."""
+    mu = mk.mean_axes(x, axes, keepdims=True)
+    centered = x - mu
+    var = mk.mean_axes(hadamard(centered, centered), axes, keepdims=True)
+    inv = _pow_oracle(var + mk.tensor.NORM_EPS, -0.5)
+    return hadamard(hadamard(centered, inv), gain) + bias
+
+
 def hwc(a):
     """A [C, H, W] oracle array in the channels-last [H, W, C] layout the conv ops take."""
     return np.moveaxis(a, 0, -1)
@@ -314,7 +332,10 @@ def _weighted_sum(t, rng):
 
 OP_CASES = {
     "add": lambda i, r: _weighted_sum(i[0] + i[1], r),
+    "add_scalar_right": lambda i, r: _weighted_sum(i[0] + 1.5, r),
+    "add_scalar_left": lambda i, r: _weighted_sum(1.5 + i[0], r),
     "sub": lambda i, r: _weighted_sum(i[0] - i[1], r),
+    "sub_scalar": lambda i, r: _weighted_sum(i[0] - 1.5, r),
     "neg": lambda i, r: _weighted_sum(-i[0], r),
     "hadamard": lambda i, r: _weighted_sum(hadamard(i[0], i[1]), r),
     "mul_scalar": lambda i, r: _weighted_sum(mk.mul_scalar(i[0], 1.7), r),
@@ -326,8 +347,8 @@ OP_CASES = {
     "softmax": lambda i, r: _weighted_sum(softmax_last(i[0]), r),
     "log_softmax": lambda i, r: _weighted_sum(mk.log_softmax_last(i[0]), r),
     "gelu": lambda i, r: _weighted_sum(gelu(i[0]), r),
-    "sum_axes": lambda i, r: _weighted_sum(mk.sum_axes(i[0], (0,)), r),
     "mean_axes": lambda i, r: _weighted_sum(mk.mean_axes(i[0], (1,), keepdims=True), r),
+    "mean_axes_dropped": lambda i, r: _weighted_sum(mk.mean_axes(i[0], (0,)), r),
 }
 
 
@@ -342,11 +363,19 @@ def test_op_gradients_match_finite_differences(name):
     assert err < 1e-6, f"{name}: relative error {err}"
 
 
-def test_powf_gradient_on_positive_input():
+def test_scalar_sugar_values():
+    a = Tensor([1.0, -2.0])
+    np.testing.assert_array_equal((a + 1.5).data, [2.5, -0.5])
+    np.testing.assert_array_equal((1.5 + a).data, [2.5, -0.5])
+    np.testing.assert_array_equal((a - 1.5).data, [-0.5, -3.5])
+
+
+def test_mean_axes_is_the_sum_times_the_reciprocal_count():
     rng = np.random.default_rng(7)
-    a = Tensor(rng.uniform(0.5, 2.0, (3, 3)))
-    err, _ = finite_diff_gradcheck(lambda i: sum_all(mk.powf(i[0], -0.5)), [a], eps=1e-6)
-    assert err < 1e-6
+    a = rng.standard_normal((3, 5, 4))
+    out = mk.mean_axes(Tensor(a), (0, -1))
+    np.testing.assert_array_equal(out.data, a.sum(axis=(0, 2)) * (1.0 / 12))
+    assert mk.mean_axes(Tensor(a), (1,), keepdims=True).shape == (3, 1, 4)
 
 
 def test_conv_gradients_match_finite_differences():
@@ -361,6 +390,55 @@ def test_conv_gradients_match_finite_differences():
     err, _ = finite_diff_gradcheck(
         lambda i: sum_all(conv2d(i[0], i[1], i[2], stride=2, padding=1)), [x, w, b])
     assert err < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# normalize
+
+
+NORM_CASES = {
+    "tokens": ((6, 5), (-1,)),
+    "map": ((4, 3, 5), (0, 1)),
+}
+
+
+def _norm_inputs(shape, seed):
+    rng = np.random.default_rng(seed)
+    channels = shape[-1]
+    return (rng.uniform(-2, 2, shape), rng.uniform(0.5, 1.5, channels),
+            rng.uniform(-0.5, 0.5, channels), rng.uniform(-1, 1, shape))
+
+
+class TestNormalize:
+    @pytest.mark.parametrize("case", sorted(NORM_CASES))
+    def test_forward_and_gradients_match_the_composite_oracle(self, case):
+        shape, axes = NORM_CASES[case]
+        x, gain, bias, cot = _norm_inputs(shape, 11)
+        results = []
+        for op in (mk.normalize, normalize_oracle):
+            tracked = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+            out = op(tracked[0], axes, tracked[1], tracked[2])
+            backward(sum_all(hadamard(out, Tensor(cot))))
+            results.append([out.data] + [t.grad for t in tracked])
+        for name, got, want in zip(("forward", "dx", "dgain", "dbias"), *results):
+            assert got.shape == want.shape, name
+            assert np.max(np.abs(got - want)) < 1e-12, name
+
+    @pytest.mark.parametrize("case", sorted(NORM_CASES))
+    def test_gradients_match_finite_differences(self, case):
+        shape, axes = NORM_CASES[case]
+        x, gain, bias, cot = _norm_inputs(shape, 12)
+        err, _ = finite_diff_gradcheck(
+            lambda i: sum_all(hadamard(mk.normalize(i[0], axes, i[1], i[2]), Tensor(cot))),
+            [Tensor(x), Tensor(gain), Tensor(bias)])
+        assert err < 1e-6
+
+    def test_affine_that_does_not_broadcast_to_the_input_rejected(self):
+        with pytest.raises(DimensionError, match=r"\(3,\)"):
+            mk.normalize(Tensor(np.ones((4, 2))), (-1,), Tensor(np.ones(3)), Tensor(np.zeros(2)))
+        with pytest.raises(DimensionError):
+            mk.normalize(Tensor(np.ones((4, 2))), (-1,), Tensor(np.ones((5, 4, 2))),
+                         Tensor(np.zeros(2)))
 
 
 # ---------------------------------------------------------------------------

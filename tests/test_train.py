@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from masa_kit import (DataConfig, Tensor, TrainingError, UsageError, adamw_step,
-                      backward, cross_entropy, hadamard, init_optim, preset_config,
+from masa_kit import (ConfigurationError, DataConfig, Tensor, TrainingError, UsageError,
+                      adamw_step, backward, cross_entropy, hadamard, init_optim, preset_config,
                       sum_all, synth_dataset, train_loop)
 from masa_kit.train import (NOISE_STD, evaluate, finite_diff_gradcheck,
                             init_train_state, train_step)
@@ -157,6 +157,28 @@ class TestTrainLoop:
         state.params[0].data = corrupted
         with pytest.raises(TrainingError, match=r"parameter stem\.convs\.0\.weight at step 1"):
             train_step(state, batch_size=2)
+
+    @pytest.mark.parametrize("data_seed,model_seed", [(-1, 0), (0, -1)], ids=["data", "model"])
+    def test_negative_seed_is_a_configuration_error_naming_the_seed(self, data_seed, model_seed):
+        with pytest.raises(ConfigurationError, match=r"seed .*-1"):
+            train_loop(preset_config("tiny"),
+                       DataConfig(seed=data_seed, n=2, resolution=32, num_classes=2),
+                       steps=1, seed=model_seed)
+
+    @pytest.mark.parametrize("field,value", [("seed", -3), ("n", 0), ("num_classes", 0),
+                                             ("batch_size", 0), ("batch_size", -2)])
+    def test_data_config_refuses_out_of_range_fields(self, field, value):
+        fields = dict(seed=0, n=4, resolution=32, num_classes=2)
+        fields[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            DataConfig(**fields)
+
+    @pytest.mark.parametrize("field,value", [("num_classes", 3), ("resolution", 64)])
+    def test_data_config_that_disagrees_with_the_model_rejected(self, field, value):
+        fields = dict(seed=0, n=4, resolution=32, num_classes=2)
+        fields[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            init_train_state(preset_config("tiny"), DataConfig(**fields), steps=1)
 
     def test_evaluate_reports_fraction_and_mean_loss(self):
         cfg = preset_config("tiny")
