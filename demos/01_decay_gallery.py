@@ -15,8 +15,7 @@ from masa_kit import (GridShape, decay_axial_pair, decay_bidirectional_1d,
 np.set_printoptions(precision=4, suppress=True)
 
 print("Per-head decay schedule for an exponent range (2, 8) across 4 heads:")
-spec = gamma_schedule(2, 8, 4)
-for i, g in enumerate(spec.gammas, start=1):
+for i, g in enumerate(gamma_schedule(2, 8, 4), start=1):
     print(f"  head {i}: gamma = {g:.6f}   (influence halves every "
           f"{np.log(0.5) / np.log(g):.1f} grid steps)")
 print()

@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import (DecaySpec, GridShape, decay_axial_pair, decay_bidirectional_1d,
-                    decay_causal_1d)
+from .decay import GridShape, decay_axial_pair, decay_bidirectional_1d, decay_causal_1d
 from .errors import ConfigurationError, DimensionError
 from .tensor import (Tensor, concat, decayed_attention, depthwise_conv2d, hadamard, matmul,
                      mul_scalar, reshape, slice_axis, transpose, trunc_normal)
+
+LCE_KERNEL = 5
 
 
 @dataclass(frozen=True)
@@ -34,17 +35,17 @@ class MaSAConfig:
     dim: int
     num_heads: int
     decomposed: bool
-    decay: DecaySpec
-    lce_kernel: int = 5
+    decay: tuple[float, ...]  # one rate per head, as ``gamma_schedule`` returns
+    lce_kernel: int = LCE_KERNEL
 
     def __post_init__(self) -> None:
         if self.dim < 1 or self.num_heads < 1:
             raise ConfigurationError(f"dim and num_heads must be positive, got {self.dim}, {self.num_heads}")
         if self.dim % self.num_heads:
             raise ConfigurationError(f"dim {self.dim} is not divisible by num_heads {self.num_heads}")
-        if self.decay.num_heads != self.num_heads:
+        if len(self.decay) != self.num_heads:
             raise ConfigurationError(
-                f"decay schedule covers {self.decay.num_heads} heads but the layer has {self.num_heads}")
+                f"decay schedule covers {len(self.decay)} heads but the layer has {self.num_heads}")
         if self.lce_kernel < 1 or self.lce_kernel % 2 == 0:
             raise ConfigurationError(f"lce_kernel must be odd and positive, got {self.lce_kernel}")
 
@@ -64,11 +65,10 @@ class MaSAParams:
     lce_kernel_weights: Tensor
 
 
-def init_masa_params(config: MaSAConfig, rng: np.random.Generator,
-                     requires_grad: bool = True) -> MaSAParams:
+def init_masa_params(config: MaSAConfig, rng: np.random.Generator) -> MaSAParams:
     d, k = config.dim, config.lce_kernel
     def w(*shape):
-        return Tensor(trunc_normal(rng, shape), requires_grad=requires_grad)
+        return Tensor(trunc_normal(rng, shape), requires_grad=True)
     return MaSAParams(wq=w(d, d), wk=w(d, d), wv=w(d, d), wo=w(d, d),
                       lce_kernel_weights=w(d, k, k))
 
@@ -197,7 +197,7 @@ def masa_layer_forward(x: Tensor, params: MaSAParams, config: MaSAConfig,
             raise ConfigurationError(f"{name} must have shape {shape}, got {getattr(params, name).shape}")
 
     q, k, v = (matmul(x, wt) for wt in (params.wq, params.wk, params.wv))
-    heads, hd, gammas = config.num_heads, config.head_dim, config.decay.gammas
+    heads, hd, gammas = config.num_heads, config.head_dim, config.decay
     scale = 1.0 / math.sqrt(hd)
     h, w = grid.height, grid.width
     d_h, d_w = (np.stack([decay_bidirectional_1d(n, g).data for g in gammas]) for n in (h, w))

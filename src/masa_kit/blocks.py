@@ -20,8 +20,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .attention import (MaSAConfig, MaSAParams, attention_score_apply_macs, init_masa_params,
-                        lce, masa_layer_forward, token_image)
+from .attention import (LCE_KERNEL, MaSAConfig, MaSAParams, attention_score_apply_macs,
+                        init_masa_params, lce, masa_layer_forward, token_image)
 from .decay import GridShape, gamma_schedule
 from .errors import ConfigurationError, DimensionError
 from .tensor import (Tensor, add, conv2d, gelu, matmul, mean_axes, normalize, reshape,
@@ -30,7 +30,6 @@ from .tensor import (Tensor, add, conv2d, gelu, matmul, mean_axes, normalize, re
 STEM_STRIDES = (2, 1, 2, 1, 1)
 STEM_KERNEL = 3
 CPE_KERNEL = 3
-LCE_KERNEL = 5
 DOWNSAMPLE_KERNEL = 3
 
 
@@ -185,7 +184,7 @@ def preset_config(name: str, num_classes: int | None = None,
 @dataclass
 class ConvParams:
     weight: Tensor
-    bias: Tensor | None = None
+    bias: Tensor
 
 
 @dataclass
@@ -321,7 +320,7 @@ def _stem_channel_plan(c1: int) -> list[tuple[int, int]]:
 def build_backbone(config: ModelConfig, seed: int) -> Model:
     """Deterministically initialize a model for ``config`` from ``seed``.
 
-    Projections and conv kernels draw truncated-normal values (sigma 0.02),
+    Projections and conv kernels draw truncated-normal values (sigma ``INIT_STD``),
     biases start at zero, and norm gains at one.
     """
     if seed < 0:
@@ -347,8 +346,7 @@ def build_backbone(config: ModelConfig, seed: int) -> Model:
     for sc in config.stages:
         masa_configs.append(MaSAConfig(
             dim=sc.channels, num_heads=sc.heads, decomposed=sc.decomposed,
-            decay=gamma_schedule(sc.decay_lower, sc.decay_upper, sc.heads),
-            lce_kernel=LCE_KERNEL))
+            decay=gamma_schedule(sc.decay_lower, sc.decay_upper, sc.heads)))
         blocks = []
         for _ in range(sc.num_blocks):
             c, hidden = sc.channels, sc.ffn_hidden

@@ -34,36 +34,25 @@ class GridShape:
     def size(self) -> int:
         return self.height * self.width
 
-    def coords(self, n: int) -> tuple[int, int]:
-        """(x, y) coordinates of flat token index n (row-major, y major)."""
+    def coords(self, n):
+        """(x, y) coordinates of flat token index n (row-major, y major); n may be an array."""
         return n % self.width, n // self.width
 
 
-@dataclass(frozen=True)
-class DecaySpec:
-    """Per-head decay rates derived from an exponent range (lower, upper].
+def gamma_schedule(lower: float, upper: float, num_heads: int) -> tuple[float, ...]:
+    """One decay rate per head, spread over the exponent range (lower, upper].
 
     Head i of N receives rate 1 - 2**-(lower + (upper - lower) * i / N) for
     i = 1..N, so rates increase strictly with the head index and the last head
-    lands exactly on 1 - 2**-upper.
+    lands exactly on 1 - 2**-upper: receptive scale grows per head.
     """
-
-    lower: float
-    upper: float
-    num_heads: int
-    gammas: tuple[float, ...]
-
-
-def gamma_schedule(lower: float, upper: float, num_heads: int) -> DecaySpec:
-    """Spread decay rates across heads so receptive scale grows per head."""
     if not (0.0 < lower < upper):
         raise ConfigurationError(f"need 0 < lower < upper, got lower={lower}, upper={upper}")
     if num_heads < 1:
         raise ConfigurationError(f"num_heads must be at least 1, got {num_heads}")
     exponents = [lower + (upper - lower) * i / num_heads for i in range(1, num_heads + 1)]
     exponents[-1] = upper  # keep the endpoint exact despite float rounding
-    gammas = tuple(1.0 - 2.0 ** -float(e) for e in exponents)
-    return DecaySpec(float(lower), float(upper), int(num_heads), gammas)
+    return tuple(1.0 - 2.0 ** -float(e) for e in exponents)
 
 
 def _check_gamma(gamma: float) -> float:
@@ -99,9 +88,7 @@ def decay_manhattan_2d(grid: GridShape, gamma: float) -> Tensor:
     D[n, m] = gamma**(|x_n - x_m| + |y_n - y_m|) under the row-major index map.
     """
     gamma = _check_gamma(gamma)
-    n = np.arange(grid.size)
-    x = n % grid.width
-    y = n // grid.width
+    x, y = grid.coords(np.arange(grid.size))
     dist = np.abs(x[:, None] - x[None, :]) + np.abs(y[:, None] - y[None, :])
     return Tensor(gamma ** dist)
 

@@ -102,9 +102,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -605,10 +602,9 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     return out
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """2D cross-correlation: [H,W,Cin] with [Cout,Cin,k,k] -> [Ho,Wo,Cout]."""
-    x, weight = _ensure(x), _ensure(weight)
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -> Tensor:
+    """2D cross-correlation plus a per-channel bias: [H,W,Cin] with [Cout,Cin,k,k] -> [Ho,Wo,Cout]."""
+    x, weight, bias = _ensure(x), _ensure(weight), _ensure(bias)
     if x.ndim != 3 or weight.ndim != 4:
         raise DimensionError(f"conv2d needs [H,W,Cin] and [Cout,Cin,k,k], got {x.shape} and {weight.shape}")
     h, w, cin = x.shape
@@ -617,6 +613,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise DimensionError(f"channel mismatch: input has {cin} channels, weight expects {cin_w}")
     if kh != kw:
         raise DimensionError(f"conv2d kernel must be square, got {weight.shape}")
+    if bias.shape != (cout,):
+        raise DimensionError(f"conv2d bias must have shape ({cout},), got {bias.shape}")
     s, p, k = int(stride), int(padding), kh
     ho = (h + 2 * p - k) // s + 1
     wo = (w + 2 * p - k) // s + 1
@@ -626,15 +624,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     # windows are [Ho, Wo, Cin, k, k]: one row of cols per output pixel, columns in (cin, i, j) order
     cols = sliding_window_view(xp, (k, k), axis=(0, 1))[::s, ::s].reshape(ho * wo, cin * k * k)
     wmat = weight.data.reshape(cout, cin * k * k)
-    data = (cols @ wmat.T).reshape(ho, wo, cout)
+    data = (cols @ wmat.T).reshape(ho, wo, cout) + bias.data
     _record_macs(cout * ho * wo * cin * k * k)
-    if bias is not None:
-        bias = _ensure(bias)
-        if bias.shape != (cout,):
-            raise DimensionError(f"conv2d bias must have shape ({cout},), got {bias.shape}")
-        data = data + bias.data
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = _result(data, parents)
+    out = _result(data, (x, weight, bias))
     if out.requires_grad:
         def vjp(g: np.ndarray) -> None:
             gmat = g.reshape(ho * wo, cout)
@@ -647,7 +639,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                     for j in range(k):
                         gxp[i:i + s * ho:s, j:j + s * wo:s] += dcols[..., i, j]
                 _accum(x, gxp[p:p + h, p:p + w])
-            if bias is not None and bias.requires_grad:
+            if bias.requires_grad:
                 _accum(bias, g.sum(axis=(0, 1)))
         out._backward = vjp
     return out
@@ -657,11 +649,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 # Initialization helpers
 
 
-def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) samples resampled until they land within two deviations."""
-    x = rng.normal(0.0, std, size=shape)
-    bad = np.abs(x) > 2.0 * std
+INIT_STD = 0.02
+
+
+def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Normal(0, INIT_STD) samples resampled until they land within two deviations."""
+    x = rng.normal(0.0, INIT_STD, size=shape)
+    bad = np.abs(x) > 2.0 * INIT_STD
     while bad.any():
-        x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(x) > 2.0 * std
+        x[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+        bad = np.abs(x) > 2.0 * INIT_STD
     return x

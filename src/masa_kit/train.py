@@ -50,8 +50,10 @@ def synth_dataset(seed: int, n: int, resolution: int, num_classes: int) -> list[
     The mean-pixel statistic separates adjacent classes by several noise
     deviations, which keeps small models trainable to high accuracy.
     """
-    if n < 1:
-        raise UsageError(f"dataset size must be positive, got {n}")
+    for name, value, least in (("seed", seed, 0), ("n", n, 1), ("resolution", resolution, 1),
+                               ("num_classes", num_classes, 1)):
+        if value < least:
+            raise UsageError(f"dataset {name} must be at least {least}, got {value}")
     rng = np.random.default_rng(seed)
     axis = np.linspace(-1.0, 1.0, resolution)
     xx, yy = np.meshgrid(axis, axis)
@@ -77,23 +79,23 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
     return neg(sum_all(slice_axis(log_probs, 0, label, label + 1)))
 
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimState:
     """Moment accumulators and hyperparameters for decoupled weight decay."""
 
     lr: float
-    betas: tuple[float, float]
-    eps: float
     weight_decay: float
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
 
 
-def init_optim(params: Sequence[Tensor], lr: float = 1e-3,
-               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-               weight_decay: float = 0.05) -> OptimState:
-    return OptimState(lr=lr, betas=betas, eps=eps, weight_decay=weight_decay,
+def init_optim(params: Sequence[Tensor], lr: float = 1e-3, weight_decay: float = 0.05) -> OptimState:
+    return OptimState(lr=lr, weight_decay=weight_decay,
                       m=[np.zeros_like(p.data) for p in params],
                       v=[np.zeros_like(p.data) for p in params])
 
@@ -103,7 +105,7 @@ def adamw_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Opt
     if len(params) != len(grads) or len(params) != len(state.m):
         raise UsageError(f"got {len(params)} params, {len(grads)} grads, {len(state.m)} accumulators")
     state.step += 1
-    b1, b2 = state.betas
+    b1, b2 = ADAM_BETAS
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     for i, (p, g) in enumerate(zip(params, grads)):
@@ -114,7 +116,7 @@ def adamw_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Opt
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
         p.data = (p.data * (1.0 - state.lr * state.weight_decay)
-                  - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+                  - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
 
 
 def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
@@ -154,7 +156,9 @@ class TrainState:
 
 
 def init_train_state(model_config: ModelConfig, data_config: DataConfig, steps: int,
-                     seed: int = 0, lr: float = 1e-3, weight_decay: float = 0.05) -> TrainState:
+                     seed: int = 0) -> TrainState:
+    if steps < 0:
+        raise UsageError(f"steps must be non-negative, got {steps}")
     for name, wanted in (("num_classes", model_config.num_classes),
                          ("resolution", model_config.input_resolution)):
         if getattr(data_config, name) != wanted:
@@ -163,10 +167,10 @@ def init_train_state(model_config: ModelConfig, data_config: DataConfig, steps: 
     params = model.parameters()
     data = synth_dataset(data_config.seed, data_config.n, data_config.resolution,
                          data_config.num_classes)
-    return TrainState(model=model, params=params,
-                      optim=init_optim(params, lr=lr, weight_decay=weight_decay),
-                      data=data, batch_rng=np.random.default_rng(seed + 1),
-                      base_lr=lr, total_steps=steps)
+    optim = init_optim(params)
+    return TrainState(model=model, params=params, optim=optim, data=data,
+                      batch_rng=np.random.default_rng(seed + 1), base_lr=optim.lr,
+                      total_steps=steps)
 
 
 def _check_params_finite(state: TrainState) -> None:
@@ -177,6 +181,8 @@ def _check_params_finite(state: TrainState) -> None:
 
 def train_step(state: TrainState, batch_size: int) -> float:
     """One forward/backward/update over a random batch; returns the batch loss."""
+    if batch_size < 1:
+        raise UsageError(f"batch_size must be positive, got {batch_size}")
     _check_params_finite(state)
     indices = state.batch_rng.integers(0, len(state.data), size=batch_size)
     try:
@@ -211,8 +217,7 @@ def evaluate(state: TrainState) -> tuple[float, float]:
 
 
 def train_loop(model_config: ModelConfig, data_config: DataConfig, steps: int,
-               seed: int = 0, lr: float = 1e-3, weight_decay: float = 0.05,
-               eval_interval: int = 25) -> TrainMetrics:
+               seed: int = 0, eval_interval: int = 25) -> TrainMetrics:
     """Train for ``steps`` updates, evaluating on the full set at intervals.
 
     Deterministic given (seed, data_config.seed). Non-finite state raises
@@ -220,8 +225,7 @@ def train_loop(model_config: ModelConfig, data_config: DataConfig, steps: int,
     """
     if eval_interval < 1:
         raise UsageError(f"eval_interval must be positive, got {eval_interval}")
-    state = init_train_state(model_config, data_config, steps, seed=seed, lr=lr,
-                             weight_decay=weight_decay)
+    state = init_train_state(model_config, data_config, steps, seed=seed)
     loss0, acc0 = evaluate(state)
     metrics = TrainMetrics(initial=EvalRecord(step=0, loss=loss0, accuracy=acc0), records=[])
     for step in range(1, steps + 1):

@@ -290,7 +290,7 @@ class TestMasaLayer:
         k = x.data @ params.wk.data
         v = x.data @ params.wv.data
         head_outs = []
-        for i, gamma in enumerate(config.decay.gammas):
+        for i, gamma in enumerate(config.decay):
             sl = slice(i * 2, (i + 1) * 2)
             head_outs.append(masa_full_oracle(q[:, sl], k[:, sl], v[:, sl], 2, 2, gamma))
         attn = np.concatenate(head_outs, axis=1)
@@ -317,7 +317,7 @@ class TestMasaLayer:
 
         q, k, v = (x.data @ w.data for w in (params.wq, params.wk, params.wv))
         head_outs = []
-        for i, gamma in enumerate(config.decay.gammas):
+        for i, gamma in enumerate(config.decay):
             sl = slice(i * 2, (i + 1) * 2)
             head_outs.append(masa_decomposed(Tensor(q[:, sl]), Tensor(k[:, sl]), Tensor(v[:, sl]),
                                              grid, gamma).data)
@@ -346,7 +346,7 @@ class TestMasaLayer:
 
 
 def _per_head_factors(heads, height, width):
-    gammas = gamma_schedule(2, 8, heads).gammas
+    gammas = gamma_schedule(2, 8, heads)
     return (np.stack([decay_bidirectional_1d(height, g).data for g in gammas]),
             np.stack([decay_bidirectional_1d(width, g).data for g in gammas]))
 

@@ -13,23 +13,21 @@ from masa_kit import (ConfigurationError, GridShape, decay_axial_pair,
 class TestGammaSchedule:
     def test_four_heads_hand_evaluation(self):
         # schedule formula evaluated by hand for range (2, 8): exponents 3.5, 5, 6.5, 8
-        spec = gamma_schedule(2, 8, 4)
+        gammas = gamma_schedule(2, 8, 4)
         expected = [1 - 2**-3.5, 1 - 2**-5, 1 - 2**-6.5, 1 - 2**-8]
-        np.testing.assert_allclose(spec.gammas, expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(gammas, expected, rtol=0, atol=1e-15)
 
     def test_single_head_lands_on_upper_endpoint(self):
-        spec = gamma_schedule(2, 8, 1)
-        assert spec.gammas == (0.99609375,)
+        assert gamma_schedule(2, 8, 1) == (0.99609375,)
 
     def test_last_head_hits_endpoint_exactly(self):
         for lower, upper, n in [(2, 6, 4), (2, 8, 16), (1, 3, 5)]:
-            assert gamma_schedule(lower, upper, n).gammas[-1] == 1 - 2.0**-upper
+            assert gamma_schedule(lower, upper, n)[-1] == 1 - 2.0**-upper
 
     @settings(max_examples=50, deadline=None)
     @given(lower=st.floats(0.5, 4), spread=st.floats(0.5, 6), n=st.integers(1, 24))
     def test_strictly_increasing_within_open_closed_range(self, lower, spread, n):
-        spec = gamma_schedule(lower, lower + spread, n)
-        g = np.array(spec.gammas)
+        g = np.array(gamma_schedule(lower, lower + spread, n))
         assert (np.diff(g) > 0).all() or n == 1
         assert (g > 1 - 2.0**-lower).all()
         assert (g <= 1 - 2.0 ** -(lower + spread)).all()

@@ -252,8 +252,14 @@ class TestConv2d:
 
     def test_strided_output_shape(self):
         out = conv2d(Tensor(hwc(np.zeros((2, 8, 8)))), Tensor(np.zeros((5, 2, 3, 3))),
-                     stride=2, padding=1)
+                     Tensor(np.zeros(5)), stride=2, padding=1)
         assert chw(out.data).shape == (5, 4, 4)
+
+    @pytest.mark.parametrize("bias_shape", [(4,), (6,), (5, 1), ()])
+    def test_bias_of_the_wrong_shape_rejected(self, bias_shape):
+        with pytest.raises(DimensionError, match="bias"):
+            conv2d(Tensor(np.zeros((8, 8, 2))), Tensor(np.zeros((5, 2, 3, 3))),
+                   Tensor(np.zeros(bias_shape)), stride=1, padding=1)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +467,7 @@ def test_mac_counter_nests():
 
 
 def test_trunc_normal_is_bounded_and_deterministic():
-    a = mk.trunc_normal(np.random.default_rng(5), (1000,), std=0.02)
-    b = mk.trunc_normal(np.random.default_rng(5), (1000,), std=0.02)
+    a = mk.trunc_normal(np.random.default_rng(5), (1000,))
+    b = mk.trunc_normal(np.random.default_rng(5), (1000,))
     np.testing.assert_array_equal(a, b)
     assert np.max(np.abs(a)) <= 0.04

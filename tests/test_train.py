@@ -8,7 +8,7 @@ import pytest
 from masa_kit import (ConfigurationError, DataConfig, Tensor, TrainingError, UsageError,
                       adamw_step, backward, cross_entropy, hadamard, init_optim, preset_config,
                       sum_all, synth_dataset, train_loop)
-from masa_kit.train import (NOISE_STD, evaluate, finite_diff_gradcheck,
+from masa_kit.train import (NOISE_STD, cosine_lr, evaluate, finite_diff_gradcheck,
                             init_train_state, train_step)
 
 
@@ -34,6 +34,13 @@ class TestSynthDataset:
     def test_empty_dataset_rejected(self):
         with pytest.raises(UsageError):
             synth_dataset(0, 0, 8, 2)
+
+    @pytest.mark.parametrize("name,args", [("seed", (-1, 2, 32, 2)), ("n", (0, -4, 32, 2)),
+                                           ("resolution", (0, 2, 0, 2)),
+                                           ("num_classes", (0, 2, 32, 0))])
+    def test_out_of_range_argument_rejected_by_name(self, name, args):
+        with pytest.raises(UsageError, match=f"dataset {name} must be at least"):
+            synth_dataset(*args)
 
 
 class TestCrossEntropy:
@@ -102,6 +109,22 @@ class TestAdamW:
         state = init_optim([p])
         with pytest.raises(UsageError):
             adamw_step([p], [np.zeros(3)], state)
+
+
+class TestCosineLr:
+    def test_starts_at_base(self):
+        assert cosine_lr(0.3, 0, 10) == 0.3
+
+    def test_halfway_is_half_of_base(self):
+        assert abs(cosine_lr(0.3, 5, 10) - 0.15) < 1e-15
+
+    def test_ends_at_exactly_zero_and_clamps_past_the_end(self):
+        assert cosine_lr(0.3, 10, 10) == 0.0
+        assert cosine_lr(0.3, 25, 10) == 0.0
+
+    @pytest.mark.parametrize("total_steps", [0, -4])
+    def test_no_schedule_without_a_positive_horizon(self, total_steps):
+        assert cosine_lr(0.3, 7, total_steps) == 0.3
 
 
 class TestGradcheckHarness:
@@ -179,6 +202,21 @@ class TestTrainLoop:
         fields[field] = value
         with pytest.raises(ConfigurationError, match=field):
             init_train_state(preset_config("tiny"), DataConfig(**fields), steps=1)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_train_step_refuses_an_empty_batch(self, batch_size):
+        state = init_train_state(preset_config("tiny"),
+                                 DataConfig(seed=0, n=2, resolution=32, num_classes=2), steps=1)
+        with pytest.raises(UsageError, match=f"batch_size must be positive, got {batch_size}"):
+            train_step(state, batch_size)
+        assert state.step == 0
+
+    def test_negative_step_count_rejected(self):
+        data = DataConfig(seed=0, n=2, resolution=32, num_classes=2)
+        with pytest.raises(UsageError, match="steps must be non-negative, got -3"):
+            init_train_state(preset_config("tiny"), data, steps=-3)
+        with pytest.raises(UsageError, match="steps must be non-negative, got -3"):
+            train_loop(preset_config("tiny"), data, steps=-3)
 
     def test_evaluate_reports_fraction_and_mean_loss(self):
         cfg = preset_config("tiny")
