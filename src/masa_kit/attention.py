@@ -22,8 +22,8 @@ import numpy as np
 
 from .decay import GridShape, decay_axial_pair, decay_bidirectional_1d, decay_causal_1d
 from .errors import ConfigurationError, DimensionError
-from .tensor import (Tensor, concat, decayed_attention, depthwise_conv2d, hadamard, matmul,
-                     mul_scalar, reshape, slice_axis, transpose, trunc_normal)
+from .tensor import (Tensor, concat, decayed_attention, depthwise_conv2d, hadamard, init_weight,
+                     matmul, mul_scalar, reshape, slice_axis, transpose)
 
 LCE_KERNEL = 5
 
@@ -67,10 +67,9 @@ class MaSAParams:
 
 def init_masa_params(config: MaSAConfig, rng: np.random.Generator) -> MaSAParams:
     d, k = config.dim, config.lce_kernel
-    def w(*shape):
-        return Tensor(trunc_normal(rng, shape), requires_grad=True)
-    return MaSAParams(wq=w(d, d), wk=w(d, d), wv=w(d, d), wo=w(d, d),
-                      lce_kernel_weights=w(d, k, k))
+    return MaSAParams(wq=init_weight(rng, d, d), wk=init_weight(rng, d, d),
+                      wv=init_weight(rng, d, d), wo=init_weight(rng, d, d),
+                      lce_kernel_weights=init_weight(rng, d, k, k))
 
 
 def _check_qkv(q: Tensor, k: Tensor, v: Tensor, grid: GridShape | None = None) -> tuple[int, int]:

@@ -24,8 +24,8 @@ from .attention import (LCE_KERNEL, MaSAConfig, MaSAParams, attention_score_appl
                         init_masa_params, lce, masa_layer_forward, token_image)
 from .decay import GridShape, gamma_schedule
 from .errors import ConfigurationError, DimensionError
-from .tensor import (Tensor, add, conv2d, gelu, matmul, mean_axes, normalize, reshape,
-                     transpose, trunc_normal)
+from .tensor import (Tensor, add, conv2d, gelu, init_weight, matmul, mean_axes, normalize,
+                     reshape, transpose)
 
 STEM_STRIDES = (2, 1, 2, 1, 1)
 STEM_KERNEL = 3
@@ -327,9 +327,6 @@ def build_backbone(config: ModelConfig, seed: int) -> Model:
         raise ConfigurationError(f"model seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
 
-    def w(*shape):
-        return Tensor(trunc_normal(rng, shape), requires_grad=True)
-
     def zeros(*shape):
         return Tensor(np.zeros(shape), requires_grad=True)
 
@@ -338,7 +335,8 @@ def build_backbone(config: ModelConfig, seed: int) -> Model:
 
     stem_convs, stem_norms = [], []
     for cin, cout in _stem_channel_plan(config.stages[0].channels):
-        stem_convs.append(ConvParams(weight=w(cout, cin, STEM_KERNEL, STEM_KERNEL), bias=zeros(cout)))
+        stem_convs.append(ConvParams(weight=init_weight(rng, cout, cin, STEM_KERNEL, STEM_KERNEL),
+                                     bias=zeros(cout)))
         stem_norms.append(NormParams(gain=ones(cout), bias=zeros(cout)))
 
     stages: list[list[BlockParams]] = []
@@ -351,24 +349,25 @@ def build_backbone(config: ModelConfig, seed: int) -> Model:
         for _ in range(sc.num_blocks):
             c, hidden = sc.channels, sc.ffn_hidden
             blocks.append(BlockParams(
-                cpe_kernel=w(c, CPE_KERNEL, CPE_KERNEL),
+                cpe_kernel=init_weight(rng, c, CPE_KERNEL, CPE_KERNEL),
                 norm1=NormParams(gain=ones(c), bias=zeros(c)),
                 masa=init_masa_params(masa_configs[-1], rng),
                 norm2=NormParams(gain=ones(c), bias=zeros(c)),
-                ffn_w1=w(c, hidden), ffn_b1=zeros(hidden),
-                ffn_w2=w(hidden, c), ffn_b2=zeros(c)))
+                ffn_w1=init_weight(rng, c, hidden), ffn_b1=zeros(hidden),
+                ffn_w2=init_weight(rng, hidden, c), ffn_b2=zeros(c)))
         stages.append(blocks)
 
     downsamples = [
-        ConvParams(weight=w(config.stages[i + 1].channels, config.stages[i].channels,
-                            DOWNSAMPLE_KERNEL, DOWNSAMPLE_KERNEL),
+        ConvParams(weight=init_weight(rng, config.stages[i + 1].channels, config.stages[i].channels,
+                                      DOWNSAMPLE_KERNEL, DOWNSAMPLE_KERNEL),
                    bias=zeros(config.stages[i + 1].channels))
         for i in range(3)
     ]
     c_last = config.stages[3].channels
     return Model(config=config, stem=StemParams(stem_convs, stem_norms), stages=stages,
                  masa_configs=masa_configs, downsamples=downsamples,
-                 head_weight=w(c_last, config.num_classes), head_bias=zeros(config.num_classes))
+                 head_weight=init_weight(rng, c_last, config.num_classes),
+                 head_bias=zeros(config.num_classes))
 
 
 def forward_classify(model: Model, image: Tensor) -> Tensor:

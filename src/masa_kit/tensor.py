@@ -460,21 +460,19 @@ def _row_blocks(batch: int, length: int) -> list[tuple[int, int]]:
     return [(start, min(start + step, length)) for start in range(0, length, step)]
 
 
-def _softmax_rows(q_rows: np.ndarray, kt: np.ndarray, scale: float) -> np.ndarray:
-    s = q_rows @ kt
-    s *= scale
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    return s
-
-
-def _decay_rows(a: np.ndarray, b: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop of the Kronecker product of a [..., Ha, Ha] and b [..., Wb, Wb]."""
+def _decay_in_place(w: np.ndarray, a: np.ndarray, b: np.ndarray, start: int, stop: int) -> None:
+    """Multiply w [..., rows, Ha*Wb] in place by rows start..stop of the Kronecker product
+    of a [..., Ha, Ha] and b [..., Wb, Wb], one factor's rows at a time over a [Ha, Wb] view.
+    """
     rows = np.arange(start, stop)
-    wb = b.shape[-1]
-    block = np.take(a, rows // wb, axis=-2)[..., :, None] * np.take(b, rows % wb, axis=-2)[..., None, :]
-    return block.reshape(block.shape[:-2] + (-1,))
+    ha, wb = a.shape[-1], b.shape[-1]
+    grid = w.reshape(w.shape[:-1] + (ha, wb))  # a view: w is a fresh contiguous block
+    b_rows = np.take(b, rows % wb, axis=-2)
+    if ha == 1:  # a is one number per batch entry: fold it into b's rows, not into the block
+        b_rows = b_rows * a
+    else:
+        grid *= np.take(a, rows // wb, axis=-2)[..., :, :, None]
+    grid *= b_rows[..., :, None, :]
 
 
 def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Tensor] | None,
@@ -488,10 +486,13 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
     D[n, m] = a[n // Wb, m // Wb] * b[n % Wb, m % Wb].
 
     Query rows run in blocks of about ``ATTENTION_BLOCK_ELEMENTS`` logits. A
-    row's softmax needs only its own keys, so the blocks are exact, and the
-    backward pass recomputes each block from q and k: no [L, L] array outlives
-    a block. The MACs counted are those of q k^T and of the weights times v,
-    in the forward pass only.
+    row's softmax needs only its own keys, so the blocks are exact. Each block's
+    exponentials are multiplied in place by the decay, built from the factor
+    rows, and applied to v before the division by their row sum. One
+    log-sum-exp per query row is kept, so the backward pass rebuilds each
+    block's weights from q and k in three passes (a matmul, a subtraction, an
+    exp): no [L, L] array outlives a block. The MACs counted are those of
+    q k^T and of the weights times v, in the forward pass only.
     """
     q, k, v = _ensure(q), _ensure(k), _ensure(v)
     if q.ndim < 2 or k.shape != q.shape or v.ndim != q.ndim or v.shape[:-1] != q.shape[:-1]:
@@ -514,11 +515,18 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
     n_batch = int(np.prod(batch, dtype=np.int64))
     blocks = _row_blocks(n_batch, length)
     data = np.empty(q.shape[:-1] + v.shape[-1:])
+    lse = np.empty(q.shape[:-1] + (1,))
     for start, stop in blocks:
-        w = _softmax_rows(qd[..., start:stop, :], kt, scale)
+        rows = (Ellipsis, slice(start, stop), slice(None))
+        e = (qd[rows] * scale) @ kt
+        peak = e.max(axis=-1, keepdims=True)
+        e -= peak
+        np.exp(e, out=e)
+        z = e.sum(axis=-1, keepdims=True)
         if fa is not None:
-            w *= _decay_rows(fa, fb, start, stop)
-        data[..., start:stop, :] = w @ vd
+            _decay_in_place(e, fa, fb, start, stop)
+        np.divide(e @ vd, z, out=data[rows])
+        lse[rows] = peak + np.log(z)
     _record_macs(n_batch * length * length * (q.shape[-1] + v.shape[-1]))
     out = _result(data, (q, k, v))
     if out.requires_grad:
@@ -531,24 +539,27 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
             delta = (g * data).sum(axis=-1, keepdims=True)
             for start, stop in blocks:
                 rows = (Ellipsis, slice(start, stop), slice(None))
-                p = _softmax_rows(qd[rows], kt, scale)
-                decay = _decay_rows(fa, fb, start, stop) if fa is not None else None
+                p = (qd[rows] * scale) @ kt
+                p -= lse[rows]
+                np.exp(p, out=p)
+                if dq is not None or dk is not None:
+                    ds = g[rows] @ vt
+                    if fa is not None:
+                        _decay_in_place(ds, fa, fb, start, stop)
+                    ds -= delta[rows]
+                    ds *= p
+                    if dq is not None:
+                        dq[rows] = ds @ kd
+                    if dk is not None:
+                        dk += ds.swapaxes(-1, -2) @ qd[rows]
+                    del ds
                 if dv is not None:
-                    w = p if decay is None else p * decay
-                    dv += w.swapaxes(-1, -2) @ g[rows]
-                    del w
-                if dq is None and dk is None:
-                    continue
-                ds = g[rows] @ vt
-                if decay is not None:
-                    ds *= decay
-                ds -= delta[rows]
-                ds *= p
-                ds *= scale
-                if dq is not None:
-                    dq[rows] = ds @ kd
-                if dk is not None:
-                    dk += ds.swapaxes(-1, -2) @ qd[rows]
+                    if fa is not None:
+                        _decay_in_place(p, fa, fb, start, stop)
+                    dv += p.swapaxes(-1, -2) @ g[rows]
+            for grad in (dq, dk):
+                if grad is not None:
+                    grad *= scale
             for t, grad in ((q, dq), (k, dk), (v, dv)):
                 if grad is not None:
                     _accum(t, grad)
@@ -660,3 +671,8 @@ def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray
         x[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
         bad = np.abs(x) > 2.0 * INIT_STD
     return x
+
+
+def init_weight(rng: np.random.Generator, *shape: int) -> Tensor:
+    """A trainable weight of ``shape``, drawn by ``trunc_normal``."""
+    return Tensor(trunc_normal(rng, shape), requires_grad=True)

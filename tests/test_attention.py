@@ -366,11 +366,29 @@ def _fused_case(name):
     if name == "per-head-axis":
         _, d_w = _per_head_factors(3, 2, 5)
         return (3, 2, 5, 4), (np.ones((1, 1)), d_w[:, None]), 0.5
+    if name == "scaled-1x1-outer":
+        _, d_w = _per_head_factors(2, 2, 5)
+        return (2, 5, 4), (np.array([0.5, 2.0])[:, None, None], d_w), 0.5
     raise ValueError(name)
 
 
 _FUSED_CASES = ["no-decay", "grid-2x3", "grid-3x5", "axis-1d", "per-head-full",
-                "per-head-axis"]
+                "per-head-axis", "scaled-1x1-outer"]
+
+
+def _fused_and_oracle(factors, scale, arrays):
+    """[out, dq, dk, dv] of the fused op and of the composite oracle for q, k, v, cotangent."""
+    cotangent = Tensor(arrays[3])
+    decay = None if factors is None else Tensor(kron_decay(*factors))
+    results = []
+    for op in (lambda q, k, v: decayed_attention(
+                   q, k, v, None if factors is None else tuple(map(Tensor, factors)), scale),
+               lambda q, k, v: composite_attend(q, k, v, decay, scale)):
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays[:3])
+        out = op(q, k, v)
+        backward(sum_all(hadamard(out, cotangent)))
+        results.append([out.data, q.grad, k.grad, v.grad])
+    return results
 
 
 class TestDecayedAttention:
@@ -382,17 +400,20 @@ class TestDecayedAttention:
         shape, factors, scale = _fused_case(name)
         rng = np.random.default_rng(30)
         arrays = [rng.standard_normal(shape) for _ in range(4)]
-        cotangent = Tensor(arrays.pop())
-        decay = None if factors is None else Tensor(kron_decay(*factors))
-        grads = []
-        for op in (lambda q, k, v: decayed_attention(
-                       q, k, v, None if factors is None else tuple(map(Tensor, factors)), scale),
-                   lambda q, k, v: composite_attend(q, k, v, decay, scale)):
-            q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
-            out = op(q, k, v)
-            backward(sum_all(hadamard(out, cotangent)))
-            grads.append([out.data, q.grad, k.grad, v.grad])
-        for fused, oracle in zip(*grads):
+        for fused, oracle in zip(*_fused_and_oracle(factors, scale, arrays)):
+            assert np.max(np.abs(fused - oracle)) < 1e-12
+
+    def test_large_logits_stay_finite_and_match_the_oracle(self):
+        # q and k at 30x a standard normal give logits of a few thousand: exp of any of them
+        # overflows, so the kept log-sum-exp must carry the row maximum exactly
+        shape, factors, scale = _fused_case("grid-3x5")
+        rng = np.random.default_rng(36)
+        arrays = [rng.standard_normal(shape) for _ in range(4)]
+        arrays[0] *= 30.0
+        arrays[1] *= 30.0
+        assert np.abs(scale * arrays[0] @ arrays[1].T).max() > 1e3
+        for fused, oracle in zip(*_fused_and_oracle(factors, scale, arrays)):
+            assert np.all(np.isfinite(fused))
             assert np.max(np.abs(fused - oracle)) < 1e-12
 
     def test_ragged_budget_leaves_a_short_last_block(self, monkeypatch):
@@ -452,6 +473,22 @@ class TestDecayedAttention:
         finally:
             tracemalloc.stop()
         assert peak < 100 * 2 ** 20
+
+    def test_forward_retains_only_its_output_and_one_log_sum_exp_per_row(self):
+        # what the tape holds after the forward beyond q, k and v: a q-sized copy is 590 KB
+        # and one row block of logits 8 MB at side 48, against 64 KB of slack
+        rng = np.random.default_rng(37)
+        grid = GridShape(48, 48)
+        q, k, v = (Tensor(rng.standard_normal((grid.size, 32)), requires_grad=True)
+                   for _ in range(3))
+        tracemalloc.start()
+        try:
+            out = masa_full(q, k, v, grid, 0.9)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held <= out.data.nbytes + grid.size * 8 + 64 * 2 ** 10
 
     def test_bad_shapes_and_tracked_factors_rejected(self):
         rng = np.random.default_rng(35)
