@@ -125,8 +125,8 @@ def cmd_model_stats(args: argparse.Namespace) -> int:
 
 
 _BENCH_KERNELS = {
-    "full": lambda q, k, v, grid, gamma: attention.masa_full(q, k, v, grid, gamma),
-    "decomposed": lambda q, k, v, grid, gamma: attention.masa_decomposed(q, k, v, grid, gamma),
+    "full": attention.masa_full,
+    "decomposed": attention.masa_decomposed,
     "vanilla": lambda q, k, v, grid, gamma: attention.masa_full(q, k, v, grid, None),
 }
 

@@ -7,6 +7,10 @@ each with a hand-written adjoint. Feature maps are channels-last, [H, W, C],
 so an image and its [H*W, C] token grid are one reshape apart. Every operation
 that returns successfully yields finite values; NaN or Inf raises ``UsageError``.
 
+An op's result is a node holding one edge per tracked parent: the parent and the
+vector-Jacobian product (vjp) giving that parent's gradient. ``backward`` alone
+sums gradients and frees them; after it, only leaves keep a ``grad``.
+
 A ``Tensor`` is immutable after construction except for gradient population,
 and a gradient tape must stay on the thread that built it. Multiply-accumulate
 counts for matmul, attention and convolution ops can be captured with
@@ -69,7 +73,7 @@ class Tensor:
     array wholesale between training steps instead of writing in place.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_done")
+    __slots__ = ("data", "requires_grad", "grad", "_edges", "_done")
 
     def __init__(self, data, requires_grad: bool = False) -> None:
         arr = np.asarray(data, dtype=np.float64)
@@ -78,8 +82,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._edges: tuple[tuple[Tensor, Callable[[np.ndarray], np.ndarray]], ...] = ()
         self._done = False
 
     @property
@@ -132,15 +135,12 @@ def _ensure(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _result(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
-    out._parents = tuple(p for p in parents if p.requires_grad)
+def _result(data: np.ndarray, *edges: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """A node over ``data`` with each (parent, vjp) edge whose parent is tracked."""
+    edges = tuple(e for e in edges if e[0].requires_grad)
+    out = Tensor(data, requires_grad=bool(edges))
+    out._edges = edges
     return out
-
-
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    # no gradient is written in place, so the first is kept as given, even a view
-    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -182,14 +182,14 @@ class GradTape:
 def tape_for(root: Tensor) -> GradTape:
     order: list[Tensor] = []
     seen = {id(root)}
-    stack: list[tuple[Tensor, Iterator[Tensor]]] = [(root, iter(root._parents))]
+    stack: list[tuple[Tensor, Iterator[tuple[Tensor, Callable]]]] = [(root, iter(root._edges))]
     while stack:
-        node, parents = stack[-1]
+        node, edges = stack[-1]
         pushed = False
-        for p in parents:
+        for p, _ in edges:
             if id(p) not in seen:
                 seen.add(id(p))
-                stack.append((p, iter(p._parents)))
+                stack.append((p, iter(p._edges)))
                 pushed = True
                 break
         if not pushed:
@@ -199,7 +199,11 @@ def tape_for(root: Tensor) -> GradTape:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every tracked tensor the scalar ``loss`` depends on."""
+    """Populate ``grad`` on every tracked leaf the scalar ``loss`` depends on.
+
+    Each node's edges run once, in reverse tape order, and then its own ``grad`` is
+    freed: a node is a set of per-parent edges, and only leaves keep a gradient.
+    """
     if loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
@@ -209,8 +213,12 @@ def backward(loss: Tensor) -> None:
     tape = tape_for(loss)
     loss.grad = np.ones_like(loss.data)
     for node in reversed(tape.nodes):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        for parent, vjp in node._edges:
+            g = vjp(node.grad)
+            # no gradient is written in place, so the first is kept as given, even a view
+            parent.grad = g if parent.grad is None else parent.grad + g
+        if node._edges:
+            node.grad = None
     loss._done = True
 
 
@@ -221,58 +229,38 @@ def backward(loss: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _ensure(a), _ensure(b)
     _broadcast_shape(a, b, "add")
-    out = _result(a.data + b.data, (a, b))
-    if out.requires_grad:
-        def vjp(g: np.ndarray) -> None:
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g, a.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(g, b.shape))
-        out._backward = vjp
-    return out
+    return _result(a.data + b.data, (a, lambda g: _unbroadcast(g, a.shape)),
+                   (b, lambda g: _unbroadcast(g, b.shape)))
 
 
 def neg(a: Tensor) -> Tensor:
     a = _ensure(a)
-    out = _result(-a.data, (a,))
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, -g)
-    return out
+    return _result(-a.data, (a, lambda g: -g))
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; shapes must be equal or broadcastable."""
     a, b = _ensure(a), _ensure(b)
     _broadcast_shape(a, b, "hadamard")
-    out = _result(a.data * b.data, (a, b))
-    if out.requires_grad:
-        def vjp(g: np.ndarray) -> None:
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g * b.data, a.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(g * a.data, b.shape))
-        out._backward = vjp
-    return out
+    return _result(a.data * b.data, (a, lambda g: _unbroadcast(g * b.data, a.shape)),
+                   (b, lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
 def mul_scalar(a: Tensor, c: float) -> Tensor:
     a = _ensure(a)
     c = float(c)
-    out = _result(a.data * c, (a,))
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, g * c)
-    return out
+    return _result(a.data * c, (a, lambda g: g * c))
 
 
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian error linear unit, 0.5 * x * (1 + erf(x / sqrt(2)))."""
     a = _ensure(a)
     cdf = 0.5 * (1.0 + erf(a.data / _SQRT2))
-    out = _result(a.data * cdf, (a,))
-    if out.requires_grad:
+
+    def vjp(g: np.ndarray) -> np.ndarray:
         pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-        out._backward = lambda g: _accum(a, g * (cdf + a.data * pdf))
-    return out
+        return g * (cdf + a.data * pdf)
+    return _result(a.data * cdf, (a, vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -293,25 +281,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
     m, k, n = a.shape[-2], a.shape[-1], b.shape[-1]
     _record_macs(int(np.prod(data.shape[:-2], dtype=np.int64)) * m * k * n)
-    out = _result(data, (a, b))
-    if out.requires_grad:
-        def vjp(g: np.ndarray) -> None:
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
-        out._backward = vjp
-    return out
+    return _result(data, (a, lambda g: _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)),
+                   (b, lambda g: _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)))
 
 
 def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     a = _ensure(a)
     perm = tuple(axes) if axes is not None else tuple(reversed(range(a.ndim)))
-    out = _result(a.data.transpose(perm).copy(), (a,))
-    if out.requires_grad:
-        inverse = tuple(np.argsort(perm))
-        out._backward = lambda g: _accum(a, g.transpose(inverse))
-    return out
+    return _result(a.data.transpose(perm).copy(), (a, lambda g: g.transpose(tuple(np.argsort(perm)))))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -319,29 +296,21 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != a.size:
         raise DimensionError(f"cannot reshape {a.shape} into {shape}")
-    out = _result(a.data.reshape(shape).copy(), (a,))
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, g.reshape(a.shape))
-    return out
+    return _result(a.data.reshape(shape).copy(), (a, lambda g: g.reshape(a.shape)))
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = [_ensure(p) for p in parts]
     if not parts:
         raise DimensionError("concat needs at least one tensor")
-    out = _result(np.concatenate([p.data for p in parts], axis=axis), parts)
-    if out.requires_grad:
-        sizes = [p.shape[axis] for p in parts]
-        offsets = np.cumsum([0] + sizes)
+    data = np.concatenate([p.data for p in parts], axis=axis)
+    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
 
-        def vjp(g: np.ndarray) -> None:
-            for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
-                if p.requires_grad:
-                    index = [slice(None)] * g.ndim
-                    index[axis] = slice(start, stop)
-                    _accum(p, g[tuple(index)])
-        out._backward = vjp
-    return out
+    def part(start: int, stop: int) -> Callable[[np.ndarray], np.ndarray]:
+        index = [slice(None)] * data.ndim
+        index[axis] = slice(start, stop)
+        return lambda g: g[tuple(index)]
+    return _result(data, *((p, part(start, stop)) for p, start, stop in zip(parts, offsets[:-1], offsets[1:])))
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -350,14 +319,12 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         raise DimensionError(f"slice [{start}:{stop}] is out of range for axis {axis} of {a.shape}")
     index = [slice(None)] * a.ndim
     index[axis] = slice(start, stop)
-    out = _result(a.data[tuple(index)].copy(), (a,))
-    if out.requires_grad:
-        def vjp(g: np.ndarray) -> None:
-            full = np.zeros_like(a.data)
-            full[tuple(index)] = g
-            _accum(a, full)
-        out._backward = vjp
-    return out
+
+    def vjp(g: np.ndarray) -> np.ndarray:
+        full = np.zeros_like(a.data)
+        full[tuple(index)] = g
+        return full
+    return _result(a.data[tuple(index)].copy(), (a, vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +333,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     a = _ensure(a)
-    out = _result(a.data.sum(), (a,))
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, np.broadcast_to(g, a.shape).copy())
-    return out
+    return _result(a.data.sum(), (a, lambda g: np.broadcast_to(g, a.shape).copy()))
 
 
 def mean_axes(a: Tensor, axes: tuple[int, ...], keepdims: bool = False) -> Tensor:
@@ -377,15 +341,13 @@ def mean_axes(a: Tensor, axes: tuple[int, ...], keepdims: bool = False) -> Tenso
     a = _ensure(a)
     axes = tuple(ax % a.ndim for ax in axes)
     scale = 1.0 / int(np.prod([a.shape[ax] for ax in axes], dtype=np.int64))
-    out = _result(a.data.sum(axis=axes, keepdims=keepdims) * scale, (a,))
-    if out.requires_grad:
-        def vjp(g: np.ndarray) -> None:
-            g = g * scale
-            if not keepdims:
-                g = np.expand_dims(g, axes)
-            _accum(a, np.broadcast_to(g, a.shape).copy())
-        out._backward = vjp
-    return out
+
+    def vjp(g: np.ndarray) -> np.ndarray:
+        g = g * scale
+        if not keepdims:
+            g = np.expand_dims(g, axes)
+        return np.broadcast_to(g, a.shape).copy()
+    return _result(a.data.sum(axis=axes, keepdims=keepdims) * scale, (a, vjp))
 
 
 NORM_EPS = 1e-6
@@ -410,18 +372,13 @@ def normalize(x: Tensor, axes: tuple[int, ...], gain: Tensor, bias: Tensor) -> T
     centered = x.data - mean(x.data)
     inv = (mean(centered * centered) + NORM_EPS) ** -0.5
     x_hat = centered * inv
-    out = _result(x_hat * gain.data + bias.data, (x, gain, bias))
-    if out.requires_grad:
-        def vjp(g: np.ndarray) -> None:
-            if x.requires_grad:
-                gx = g * gain.data
-                _accum(x, inv * (gx - mean(gx) - x_hat * mean(gx * x_hat)))
-            if gain.requires_grad:
-                _accum(gain, _unbroadcast(g * x_hat, gain.shape))
-            if bias.requires_grad:
-                _accum(bias, _unbroadcast(g, bias.shape))
-        out._backward = vjp
-    return out
+
+    def vjp_x(g: np.ndarray) -> np.ndarray:
+        gx = g * gain.data
+        return inv * (gx - mean(gx) - x_hat * mean(gx * x_hat))
+    return _result(x_hat * gain.data + bias.data, (x, vjp_x),
+                   (gain, lambda g: _unbroadcast(g * x_hat, gain.shape)),
+                   (bias, lambda g: _unbroadcast(g, bias.shape)))
 
 
 def softmax_last(a: Tensor) -> Tensor:
@@ -432,10 +389,7 @@ def softmax_last(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
-    out = _result(s, (a,))
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, s * (g - (g * s).sum(axis=-1, keepdims=True)))
-    return out
+    return _result(s, (a, lambda g: s * (g - (g * s).sum(axis=-1, keepdims=True))))
 
 
 def log_softmax_last(a: Tensor) -> Tensor:
@@ -445,10 +399,7 @@ def log_softmax_last(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     logsum = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     y = shifted - logsum
-    out = _result(y, (a,))
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
-    return out
+    return _result(y, (a, lambda g: g - np.exp(y) * g.sum(axis=-1, keepdims=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -528,43 +479,50 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
         np.divide(e @ vd, z, out=data[rows])
         lse[rows] = peak + np.log(z)
     _record_macs(n_batch * length * length * (q.shape[-1] + v.shape[-1]))
-    out = _result(data, (q, k, v))
-    if out.requires_grad:
-        def vjp(g: np.ndarray) -> None:
-            dq = np.empty_like(qd) if q.requires_grad else None
-            dk = np.zeros_like(kd) if k.requires_grad else None
-            dv = np.zeros_like(vd) if v.requires_grad else None
-            vt = vd.swapaxes(-1, -2)
-            # rowsum(dP * P) = rowsum(dW * W) = g . out per row, as rows are not renormalized
-            delta = (g * data).sum(axis=-1, keepdims=True)
-            for start, stop in blocks:
-                rows = (Ellipsis, slice(start, stop), slice(None))
-                p = (qd[rows] * scale) @ kt
-                p -= lse[rows]
-                np.exp(p, out=p)
-                if dq is not None or dk is not None:
-                    ds = g[rows] @ vt
-                    if fa is not None:
-                        _decay_in_place(ds, fa, fb, start, stop)
-                    ds -= delta[rows]
-                    ds *= p
-                    if dq is not None:
-                        dq[rows] = ds @ kd
-                    if dk is not None:
-                        dk += ds.swapaxes(-1, -2) @ qd[rows]
-                    del ds
-                if dv is not None:
-                    if fa is not None:
-                        _decay_in_place(p, fa, fb, start, stop)
-                    dv += p.swapaxes(-1, -2) @ g[rows]
-            for grad in (dq, dk):
-                if grad is not None:
-                    grad *= scale
-            for t, grad in ((q, dq), (k, dk), (v, dv)):
-                if grad is not None:
-                    _accum(t, grad)
-        out._backward = vjp
-    return out
+
+    def adjoint(g: np.ndarray) -> dict[int, np.ndarray]:
+        dq = np.empty_like(qd) if q.requires_grad else None
+        dk = np.zeros_like(kd) if k.requires_grad else None
+        dv = np.zeros_like(vd) if v.requires_grad else None
+        vt = vd.swapaxes(-1, -2)
+        # rowsum(dP * P) = rowsum(dW * W) = g . out per row, as rows are not renormalized
+        delta = (g * data).sum(axis=-1, keepdims=True)
+        for start, stop in blocks:
+            rows = (Ellipsis, slice(start, stop), slice(None))
+            p = (qd[rows] * scale) @ kt
+            p -= lse[rows]
+            np.exp(p, out=p)
+            if dq is not None or dk is not None:
+                ds = g[rows] @ vt
+                if fa is not None:
+                    _decay_in_place(ds, fa, fb, start, stop)
+                ds -= delta[rows]
+                ds *= p
+                if dq is not None:
+                    dq[rows] = ds @ kd
+                if dk is not None:
+                    dk += ds.swapaxes(-1, -2) @ qd[rows]
+                del ds
+            if dv is not None:
+                if fa is not None:
+                    _decay_in_place(p, fa, fb, start, stop)
+                dv += p.swapaxes(-1, -2) @ g[rows]
+        for grad in (dq, dk):
+            if grad is not None:
+                grad *= scale
+        return {i: grad for i, grad in enumerate((dq, dk, dv)) if grad is not None}
+
+    # dq, dk and dv share each block's rebuilt weights, so the first edge to run
+    # makes one adjoint pass for every tracked parent and each edge takes its own
+    pending: dict[int, np.ndarray] = {}
+
+    def edge(i: int) -> Callable[[np.ndarray], np.ndarray]:
+        def vjp(g: np.ndarray) -> np.ndarray:
+            if not pending:
+                pending.update(adjoint(g))
+            return pending.pop(i)
+        return vjp
+    return _result(data, (q, edge(0)), (k, edge(1)), (v, edge(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -594,23 +552,21 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
         for j in range(kw):
             data += kernel.data[:, i, j] * xp[i:i + h, j:j + w]
     _record_macs(c * h * w * kh * kw)
-    out = _result(data, (x, kernel))
-    if out.requires_grad:
-        def vjp(g: np.ndarray) -> None:
-            if x.requires_grad:
-                gp = np.zeros_like(xp)
-                for i in range(kh):
-                    for j in range(kw):
-                        gp[i:i + h, j:j + w] += kernel.data[:, i, j] * g
-                _accum(x, gp[pad:pad + h, pad:pad + w])
-            if kernel.requires_grad:
-                kg = np.empty_like(kernel.data)
-                for i in range(kh):
-                    for j in range(kw):
-                        kg[:, i, j] = (g * xp[i:i + h, j:j + w]).sum(axis=(0, 1))
-                _accum(kernel, kg)
-        out._backward = vjp
-    return out
+
+    def vjp_x(g: np.ndarray) -> np.ndarray:
+        gp = np.zeros_like(xp)
+        for i in range(kh):
+            for j in range(kw):
+                gp[i:i + h, j:j + w] += kernel.data[:, i, j] * g
+        return gp[pad:pad + h, pad:pad + w]
+
+    def vjp_kernel(g: np.ndarray) -> np.ndarray:
+        kg = np.empty_like(kernel.data)
+        for i in range(kh):
+            for j in range(kw):
+                kg[:, i, j] = (g * xp[i:i + h, j:j + w]).sum(axis=(0, 1))
+        return kg
+    return _result(data, (x, vjp_x), (kernel, vjp_kernel))
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -> Tensor:
@@ -637,23 +593,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -
     wmat = weight.data.reshape(cout, cin * k * k)
     data = (cols @ wmat.T).reshape(ho, wo, cout) + bias.data
     _record_macs(cout * ho * wo * cin * k * k)
-    out = _result(data, (x, weight, bias))
-    if out.requires_grad:
-        def vjp(g: np.ndarray) -> None:
-            gmat = g.reshape(ho * wo, cout)
-            if weight.requires_grad:
-                _accum(weight, (gmat.T @ cols).reshape(weight.shape))
-            if x.requires_grad:
-                dcols = (gmat @ wmat).reshape(ho, wo, cin, k, k)
-                gxp = np.zeros_like(xp)
-                for i in range(k):
-                    for j in range(k):
-                        gxp[i:i + s * ho:s, j:j + s * wo:s] += dcols[..., i, j]
-                _accum(x, gxp[p:p + h, p:p + w])
-            if bias.requires_grad:
-                _accum(bias, g.sum(axis=(0, 1)))
-        out._backward = vjp
-    return out
+
+    def vjp_x(g: np.ndarray) -> np.ndarray:
+        dcols = (g.reshape(ho * wo, cout) @ wmat).reshape(ho, wo, cin, k, k)
+        gxp = np.zeros_like(xp)
+        for i in range(k):
+            for j in range(k):
+                gxp[i:i + s * ho:s, j:j + s * wo:s] += dcols[..., i, j]
+        return gxp[p:p + h, p:p + w]
+    return _result(data, (weight, lambda g: (g.reshape(ho * wo, cout).T @ cols).reshape(weight.shape)),
+                   (x, vjp_x), (bias, lambda g: g.sum(axis=(0, 1))))
 
 
 # ---------------------------------------------------------------------------

@@ -452,13 +452,40 @@ class TestDecayedAttention:
             assert forward.total == attention_score_apply_macs(mode, 3, 4, 5)
             assert adjoint.total == 0
 
+    def test_backward_runs_one_block_pass_for_q_k_and_v(self, monkeypatch):
+        calls = []
+        decay_in_place = tensor_module._decay_in_place
+        monkeypatch.setattr(tensor_module, "_decay_in_place",
+                            lambda *args: calls.append(decay_in_place(*args)))
+        rng = np.random.default_rng(38)
+        grid = GridShape(3, 4)
+        q, k, v = (Tensor(rng.standard_normal((grid.size, 4)), requires_grad=True) for _ in range(3))
+        out = masa_full(q, k, v, grid, 0.8)
+        assert len(calls) == 1
+        backward(sum_all(out))
+        assert len(calls) == 3
+
+    def test_untracked_k_takes_no_gradient_and_the_node_passes_back_twice(self):
+        shape, factors, scale = _fused_case("grid-2x3")
+        rng = np.random.default_rng(39)
+        arrays = [rng.standard_normal(shape) for _ in range(4)]
+        _, dq, _, dv = _fused_and_oracle(factors, scale, arrays)[0]
+        q, v = Tensor(arrays[0], requires_grad=True), Tensor(arrays[2], requires_grad=True)
+        out = decayed_attention(q, Tensor(arrays[1]), v, tuple(map(Tensor, factors)), scale)
+        for _ in range(2):
+            q.zero_grad()
+            v.zero_grad()
+            backward(sum_all(hadamard(out, Tensor(arrays[3]))))
+            np.testing.assert_array_equal(q.grad, dq)
+            np.testing.assert_array_equal(v.grad, dv)
+
     def test_masa_full_is_one_node_on_the_tape(self):
         rng = np.random.default_rng(33)
         grid = GridShape(3, 3)
         q, k, v = (Tensor(rng.standard_normal((grid.size, 4)), requires_grad=True) for _ in range(3))
         out = masa_full(q, k, v, grid, 0.8)
         nodes = tape_for(sum_all(out)).nodes
-        assert len(nodes) == 5 and out in nodes and set(out._parents) == {q, k, v}
+        assert len(nodes) == 5 and out in nodes and {p for p, _ in out._edges} == {q, k, v}
 
     def test_forward_backward_memory_stays_far_below_the_n_by_n_arrays(self):
         # side 64: one 4096 x 4096 float64 array is 128 MB, and the composite step kept five

@@ -396,7 +396,10 @@ class TestTapeSize:
         model = build_backbone(preset_config("tiny"), seed=0)
         sample = synth_dataset(0, 1, 32, 2)[0]
         loss = cross_entropy(forward_classify(model, sample.image), sample.label)
-        assert len(mk.tape_for(loss).nodes) == 249
+        nodes = mk.tape_for(loss).nodes
+        assert len(nodes) == 249
+        mk.backward(loss)  # after it, only the leaves hold a gradient
+        assert all((n.grad is None) == bool(n._edges) for n in nodes)
 
 
 class TestAccounting:

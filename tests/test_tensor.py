@@ -74,10 +74,7 @@ def conv2d_oracle(x, w, b, stride, pad):
 def _pow_oracle(a, p):
     """Elementwise a ** p as a tape op: the one primitive the composite oracle below needs
     that the library no longer has."""
-    out = mk.tensor._result(a.data ** p, (a,))
-    if out.requires_grad:
-        out._backward = lambda g: mk.tensor._accum(a, g * p * a.data ** (p - 1.0))
-    return out
+    return mk.tensor._result(a.data ** p, (a, lambda g: g * p * a.data ** (p - 1.0)))
 
 
 def normalize_oracle(x, axes, gain, bias):
@@ -321,6 +318,27 @@ class TestBackward:
         backward(sum_all(hadamard(s + a, c)))
         np.testing.assert_array_equal(a.grad, 2 * c.data)
         np.testing.assert_array_equal(b.grad, c.data)
+
+    def test_op_nodes_drop_their_gradient_so_a_second_backward_is_exact(self):
+        # h holds no gradient from the first pass, so the second sends a only 3 * 2
+        a = Tensor(np.ones(1), requires_grad=True)
+        h = mk.mul_scalar(a, 2)
+        backward(sum_all(h))
+        assert h.grad is None
+        np.testing.assert_array_equal(a.grad, [2.0])
+        a.zero_grad()
+        backward(sum_all(mk.mul_scalar(h, 3)))
+        np.testing.assert_array_equal(a.grad, [6.0])
+
+    def test_no_vjp_runs_for_an_untracked_parent(self):
+        def refuse(g):
+            raise AssertionError("vjp ran for a constant parent")
+
+        a = Tensor(np.ones(2), requires_grad=True)
+        out = mk.tensor._result(a.data * 2, (Tensor(np.ones(2)), refuse), (a, lambda g: g * 2))
+        assert len(out._edges) == 1
+        backward(sum_all(out))
+        np.testing.assert_array_equal(a.grad, np.full(2, 2.0))
 
     def test_non_finite_values_rejected(self):
         with pytest.raises(UsageError):
