@@ -161,6 +161,14 @@ def _broadcasts_to(target: tuple[int, ...], *shapes: tuple[int, ...]) -> bool:
         return False
 
 
+def _axes(a: Tensor, axes: Sequence[int], op: str) -> tuple[int, ...]:
+    """``axes`` of ``a`` as non-negative indices; DimensionError if one is out of range or repeated."""
+    out = tuple(ax + a.ndim if -a.ndim <= ax < 0 else ax for ax in axes)
+    if not all(0 <= ax < a.ndim for ax in out) or len(set(out)) != len(out):
+        raise DimensionError(f"{op}: axes {tuple(axes)} are out of range or repeated for shape {a.shape}")
+    return out
+
+
 def _broadcast_shape(a: Tensor, b: Tensor, op: str) -> None:
     try:
         np.broadcast_shapes(a.shape, b.shape)
@@ -287,7 +295,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     a = _ensure(a)
-    perm = tuple(axes) if axes is not None else tuple(reversed(range(a.ndim)))
+    perm = _axes(a, axes, "transpose") if axes is not None else tuple(reversed(range(a.ndim)))
+    if len(perm) != a.ndim:
+        raise DimensionError(f"transpose: axes {tuple(axes)} do not permute the axes of shape {a.shape}")
     return _result(a.data.transpose(perm).copy(), (a, lambda g: g.transpose(tuple(np.argsort(perm)))))
 
 
@@ -303,6 +313,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = [_ensure(p) for p in parts]
     if not parts:
         raise DimensionError("concat needs at least one tensor")
+    axis = _axes(parts[0], (axis,), "concat")[0]
     data = np.concatenate([p.data for p in parts], axis=axis)
     offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
 
@@ -315,6 +326,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     a = _ensure(a)
+    axis = _axes(a, (axis,), "slice_axis")[0]
     if not (0 <= start < stop <= a.shape[axis]):
         raise DimensionError(f"slice [{start}:{stop}] is out of range for axis {axis} of {a.shape}")
     index = [slice(None)] * a.ndim
@@ -339,7 +351,7 @@ def sum_all(a: Tensor) -> Tensor:
 def mean_axes(a: Tensor, axes: tuple[int, ...], keepdims: bool = False) -> Tensor:
     """Mean over ``axes``, computed as the sum times 1 / count."""
     a = _ensure(a)
-    axes = tuple(ax % a.ndim for ax in axes)
+    axes = _axes(a, axes, "mean_axes")
     scale = 1.0 / int(np.prod([a.shape[ax] for ax in axes], dtype=np.int64))
 
     def vjp(g: np.ndarray) -> np.ndarray:
@@ -363,7 +375,7 @@ def normalize(x: Tensor, axes: tuple[int, ...], gain: Tensor, bias: Tensor) -> T
     if not _broadcasts_to(x.shape, gain.shape, bias.shape):
         raise DimensionError(f"normalize: gain {gain.shape} and bias {bias.shape} "
                              f"do not broadcast to {x.shape}")
-    axes = tuple(ax % x.ndim for ax in axes)
+    axes = _axes(x, axes, "normalize")
     scale = 1.0 / int(np.prod([x.shape[ax] for ax in axes], dtype=np.int64))
 
     def mean(t: np.ndarray) -> np.ndarray:
@@ -529,10 +541,30 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
 # Convolutions
 
 
+def _depthwise_rows(xp: np.ndarray, kt: np.ndarray) -> np.ndarray:
+    """Per-channel cross-correlation of a padded [Hp, Wp, C] map with ``kt`` [k, k, C].
+
+    One einsum per kernel row i contracts the k taps of that row over the
+    sliding windows of rows i..i+Ho, so the inner loop runs over contiguous
+    channels. ``kt`` must be a contiguous copy: a strided kernel view sends
+    einsum down a slower path. Returns [Hp - k + 1, Wp - k + 1, C].
+    """
+    k = kt.shape[0]
+    h = xp.shape[0] - k + 1
+    win = sliding_window_view(xp, k, axis=1)  # [Hp, Wo, C, k]: the tap j runs last
+    out = np.einsum("hwcj,jc->hwc", win[:h], kt[0])
+    for i in range(1, k):
+        out += np.einsum("hwcj,jc->hwc", win[i:i + h], kt[i])
+    return out
+
+
 def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     """Per-channel 2D cross-correlation with zero padding that preserves H and W.
 
-    ``x`` is [H, W, C], ``kernel`` is [C, k, k] with odd k.
+    ``x`` is [H, W, C], ``kernel`` is [C, k, k] with odd k. The forward pass and
+    the input adjoint are k row contractions each (``_depthwise_rows``), the
+    adjoint over the padded cotangent with the kernel flipped in both axes; the
+    kernel adjoint is k einsums of the cotangent against the input's windows.
     """
     x, kernel = _ensure(x), _ensure(kernel)
     if x.ndim != 3 or kernel.ndim != 3:
@@ -547,30 +579,35 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
         raise DimensionError(f"channel mismatch: input has {c} channels, kernel has {ck}")
     pad = kh // 2
     xp = np.pad(x.data, ((pad, pad), (pad, pad), (0, 0)))
-    data = np.zeros_like(x.data)
-    for i in range(kh):
-        for j in range(kw):
-            data += kernel.data[:, i, j] * xp[i:i + h, j:j + w]
+    data = _depthwise_rows(xp, np.ascontiguousarray(kernel.data.transpose(1, 2, 0)))
     _record_macs(c * h * w * kh * kw)
 
     def vjp_x(g: np.ndarray) -> np.ndarray:
-        gp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                gp[i:i + h, j:j + w] += kernel.data[:, i, j] * g
-        return gp[pad:pad + h, pad:pad + w]
+        flipped = np.ascontiguousarray(kernel.data[:, ::-1, ::-1].transpose(1, 2, 0))
+        return _depthwise_rows(np.pad(g, ((pad, pad), (pad, pad), (0, 0))), flipped)
 
     def vjp_kernel(g: np.ndarray) -> np.ndarray:
+        win = sliding_window_view(xp, kw, axis=1)
         kg = np.empty_like(kernel.data)
         for i in range(kh):
-            for j in range(kw):
-                kg[:, i, j] = (g * xp[i:i + h, j:j + w]).sum(axis=(0, 1))
+            kg[:, i] = np.einsum("hwc,hwcj->cj", g, win[i:i + h])
         return kg
     return _result(data, (x, vjp_x), (kernel, vjp_kernel))
 
 
+def _conv_setting(name: str, value, least: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigurationError(f"conv2d {name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -> Tensor:
-    """2D cross-correlation plus a per-channel bias: [H,W,Cin] with [Cout,Cin,k,k] -> [Ho,Wo,Cout]."""
+    """2D cross-correlation plus a per-channel bias: [H,W,Cin] with [Cout,Cin,k,k] -> [Ho,Wo,Cout].
+
+    Lowered to one matmul over an im2col matrix [Ho*Wo, k*k*Cin] whose columns run in
+    (i, j, cin) order, so the gather and the input adjoint's scatter move whole
+    contiguous channel vectors; the weight is reordered to [Cout, k*k*Cin] to match.
+    """
     x, weight, bias = _ensure(x), _ensure(weight), _ensure(bias)
     if x.ndim != 3 or weight.ndim != 4:
         raise DimensionError(f"conv2d needs [H,W,Cin] and [Cout,Cin,k,k], got {x.shape} and {weight.shape}")
@@ -582,27 +619,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -
         raise DimensionError(f"conv2d kernel must be square, got {weight.shape}")
     if bias.shape != (cout,):
         raise DimensionError(f"conv2d bias must have shape ({cout},), got {bias.shape}")
-    s, p, k = int(stride), int(padding), kh
+    s, p, k = _conv_setting("stride", stride, 1), _conv_setting("padding", padding, 0), kh
     ho = (h + 2 * p - k) // s + 1
     wo = (w + 2 * p - k) // s + 1
     if ho < 1 or wo < 1:
         raise DimensionError(f"conv2d output would be empty for input {x.shape}, k={k}, stride={s}, padding={p}")
     xp = np.pad(x.data, ((p, p), (p, p), (0, 0)))
-    # windows are [Ho, Wo, Cin, k, k]: one row of cols per output pixel, columns in (cin, i, j) order
-    cols = sliding_window_view(xp, (k, k), axis=(0, 1))[::s, ::s].reshape(ho * wo, cin * k * k)
-    wmat = weight.data.reshape(cout, cin * k * k)
-    data = (cols @ wmat.T).reshape(ho, wo, cout) + bias.data
+    windows = sliding_window_view(xp, (k, k), axis=(0, 1))[::s, ::s]  # [Ho, Wo, Cin, k, k]
+    cols = windows.transpose(0, 1, 3, 4, 2).reshape(ho * wo, k * k * cin)
+
+    def wmat() -> np.ndarray:
+        # rebuilt on each use, so the tape holds no reordered copy of the weight
+        return weight.data.transpose(0, 2, 3, 1).reshape(cout, k * k * cin)
+    data = (cols @ wmat().T).reshape(ho, wo, cout) + bias.data
     _record_macs(cout * ho * wo * cin * k * k)
 
     def vjp_x(g: np.ndarray) -> np.ndarray:
-        dcols = (g.reshape(ho * wo, cout) @ wmat).reshape(ho, wo, cin, k, k)
+        dcols = (g.reshape(ho * wo, cout) @ wmat()).reshape(ho, wo, k, k, cin)
         gxp = np.zeros_like(xp)
         for i in range(k):
             for j in range(k):
-                gxp[i:i + s * ho:s, j:j + s * wo:s] += dcols[..., i, j]
+                gxp[i:i + s * ho:s, j:j + s * wo:s] += dcols[:, :, i, j]
         return gxp[p:p + h, p:p + w]
-    return _result(data, (weight, lambda g: (g.reshape(ho * wo, cout).T @ cols).reshape(weight.shape)),
-                   (x, vjp_x), (bias, lambda g: g.sum(axis=(0, 1))))
+
+    def vjp_weight(g: np.ndarray) -> np.ndarray:
+        return (g.reshape(ho * wo, cout).T @ cols).reshape(cout, k, k, cin).transpose(0, 3, 1, 2)
+    return _result(data, (weight, vjp_weight), (x, vjp_x), (bias, lambda g: g.sum(axis=(0, 1))))
 
 
 # ---------------------------------------------------------------------------

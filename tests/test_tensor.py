@@ -1,5 +1,8 @@
 """Numeric core: op correctness against independent oracles, tape semantics."""
 
+import itertools
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -69,6 +72,35 @@ def conv2d_oracle(x, w, b, stride, pad):
                                 acc += w[co, ci, di, dj] * x[ci, ii, jj]
                 out[co, i, j] = acc + (0.0 if b is None else b[co])
     return out
+
+
+def dwconv_adjoint_oracle(x, k, g):
+    """Gradients of sum(g * dwconv_oracle(x, k)) for x and k, by the same loops."""
+    c, h, w = x.shape
+    _, kh, kw = k.shape
+    pad = kh // 2
+    dx, dk = np.zeros_like(x), np.zeros_like(k)
+    for ch, i, j, di, dj in itertools.product(range(c), range(h), range(w), range(kh), range(kw)):
+        ii, jj = i + di - pad, j + dj - pad
+        if 0 <= ii < h and 0 <= jj < w:
+            dx[ch, ii, jj] += k[ch, di, dj] * g[ch, i, j]
+            dk[ch, di, dj] += x[ch, ii, jj] * g[ch, i, j]
+    return dx, dk
+
+
+def conv2d_adjoint_oracle(x, w, g, stride, pad):
+    """Gradients of sum(g * conv2d_oracle(x, w, b, stride, pad)) for x, w and b, by the same loops."""
+    cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    _, ho, wo = g.shape
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for co, i, j, ci, di, dj in itertools.product(range(cout), range(ho), range(wo), range(cin),
+                                                  range(k), range(k)):
+        ii, jj = i * stride + di - pad, j * stride + dj - pad
+        if 0 <= ii < h and 0 <= jj < wd:
+            dx[ci, ii, jj] += w[co, ci, di, dj] * g[co, i, j]
+            dw[co, ci, di, dj] += x[ci, ii, jj] * g[co, i, j]
+    return dx, dw, g.sum(axis=(1, 2))
 
 
 def _pow_oracle(a, p):
@@ -228,6 +260,24 @@ class TestDepthwiseConv:
         out = depthwise_conv2d(Tensor(hwc(x)), Tensor(k))
         assert np.max(np.abs(chw(out.data) - dwconv_oracle(x, k))) < 1e-12
 
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_forward_and_gradients_at_model_kernel_sizes(self, k):
+        # an H != W map with several channels and a random cotangent, as the CPE (k=3) and LCE (k=5) see
+        rng = np.random.default_rng(40 + k)
+        x, cot = rng.standard_normal((4, 7, 5)), rng.standard_normal((4, 7, 5))
+        kernel = rng.standard_normal((4, k, k))
+        tx, tk = Tensor(hwc(x), requires_grad=True), Tensor(kernel, requires_grad=True)
+        out = depthwise_conv2d(tx, tk)
+        backward(sum_all(hadamard(out, Tensor(hwc(cot)))))
+        dx, dk = dwconv_adjoint_oracle(x, kernel, cot)
+        assert np.max(np.abs(chw(out.data) - dwconv_oracle(x, kernel))) < 1e-12
+        assert np.max(np.abs(chw(tx.grad) - dx)) < 1e-12
+        assert np.max(np.abs(tk.grad - dk)) < 1e-12
+        err, _ = finite_diff_gradcheck(
+            lambda i: sum_all(hadamard(depthwise_conv2d(i[0], i[1]), Tensor(hwc(cot)))),
+            [Tensor(hwc(x)), Tensor(kernel)])
+        assert err < 1e-6
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigurationError):
             depthwise_conv2d(Tensor(hwc(np.zeros((1, 4, 4)))), Tensor(np.zeros((1, 2, 2))))
@@ -246,6 +296,48 @@ class TestConv2d:
         b = rng.standard_normal(4)
         out = conv2d(Tensor(hwc(x)), Tensor(w), Tensor(b), stride=stride, padding=padding)
         assert np.max(np.abs(chw(out.data) - conv2d_oracle(x, w, b, stride, padding))) < 1e-12
+
+    @pytest.mark.parametrize("k,stride,padding", list(itertools.product((3, 5), (1, 2), (0, 1))))
+    def test_forward_and_gradients_at_model_kernel_sizes(self, k, stride, padding):
+        rng = np.random.default_rng(50 + 4 * k + 2 * stride + padding)
+        x, w, b = rng.standard_normal((3, 9, 6)), rng.standard_normal((4, 3, k, k)), rng.standard_normal(4)
+        ho, wo = (9 + 2 * padding - k) // stride + 1, (6 + 2 * padding - k) // stride + 1
+        cot = rng.standard_normal((4, ho, wo))
+        tracked = [Tensor(a, requires_grad=True) for a in (hwc(x), w, b)]
+        out = conv2d(*tracked, stride=stride, padding=padding)
+        backward(sum_all(hadamard(out, Tensor(hwc(cot)))))
+        assert np.max(np.abs(chw(out.data) - conv2d_oracle(x, w, b, stride, padding))) < 1e-12
+        got = (chw(tracked[0].grad), tracked[1].grad, tracked[2].grad)
+        for name, g, want in zip(("dx", "dw", "db"), got, conv2d_adjoint_oracle(x, w, cot, stride, padding)):
+            assert g.shape == want.shape, name
+            assert np.max(np.abs(g - want)) < 1e-12, name
+        err, _ = finite_diff_gradcheck(
+            lambda i: sum_all(hadamard(conv2d(*i, stride=stride, padding=padding), Tensor(hwc(cot)))),
+            [Tensor(hwc(x)), Tensor(w), Tensor(b)])
+        assert err < 1e-6
+
+    def test_forward_retains_only_its_output_the_cols_and_the_padded_input(self):
+        # the last rmt-t downsample: a reordered copy of its 512x256x3x3 weight would add 9.4 MB
+        rng = np.random.default_rng(45)
+        x = Tensor(rng.standard_normal((14, 14, 256)), requires_grad=True)
+        w = Tensor(rng.standard_normal((512, 256, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(512), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = conv2d(x, w, b, stride=2, padding=1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        cols, padded = 7 * 7 * 9 * 256 * 8, 16 * 16 * 256 * 8
+        assert out.requires_grad
+        assert held <= out.data.nbytes + cols + padded + 64 * 2 ** 10
+
+    @pytest.mark.parametrize("stride,padding,bad", [(0, 1, "0"), (-1, 1, "-1"), (2.5, 1, "2.5"),
+                                                    (2.0, 1, "2.0"), (1, -1, "-1"), (1, 0.5, "0.5")])
+    def test_stride_and_padding_that_are_not_counts_rejected(self, stride, padding, bad):
+        with pytest.raises(ConfigurationError, match=f"got {bad}$"):
+            conv2d(Tensor(np.zeros((8, 8, 2))), Tensor(np.zeros((5, 2, 3, 3))), Tensor(np.zeros(5)),
+                   stride=stride, padding=padding)
 
     def test_strided_output_shape(self):
         out = conv2d(Tensor(hwc(np.zeros((2, 8, 8)))), Tensor(np.zeros((5, 2, 3, 3))),
@@ -414,6 +506,44 @@ def test_conv_gradients_match_finite_differences():
     err, _ = finite_diff_gradcheck(
         lambda i: sum_all(conv2d(i[0], i[1], i[2], stride=2, padding=1)), [x, w, b])
     assert err < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# axes
+
+
+class TestAxes:
+    @pytest.mark.parametrize("call", [
+        lambda t: mk.mean_axes(t, (5,)),
+        lambda t: mk.mean_axes(t, (-3,)),
+        lambda t: mk.mean_axes(t, (1, 1)),
+        lambda t: mk.mean_axes(t, (1, -1)),
+        lambda t: mk.normalize(t, (2,), Tensor(np.ones(3)), Tensor(np.zeros(3))),
+        lambda t: mk.normalize(t, (-1, 1), Tensor(np.ones(3)), Tensor(np.zeros(3))),
+        lambda t: mk.transpose(t, (0, 0)),
+        lambda t: mk.transpose(t, (1, 0, 2)),
+        lambda t: mk.transpose(t, (0,)),
+        lambda t: mk.slice_axis(t, 4, 0, 1),
+        lambda t: mk.slice_axis(t, -3, 0, 1),
+        lambda t: mk.concat([t, t], axis=2),
+    ], ids=["mean-5", "mean-neg3", "mean-repeat", "mean-repeat-neg", "norm-2", "norm-repeat",
+            "transpose-repeat", "transpose-3-axes", "transpose-1-axis", "slice-4", "slice-neg3",
+            "concat-2"])
+    def test_bad_axes_rejected_naming_axes_and_shape(self, call):
+        with pytest.raises(DimensionError, match=r"axes \(.*\).*\(2, 3\)"):
+            call(Tensor(np.ones((2, 3))))
+
+    def test_negative_axes_count_from_the_end(self):
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((2, 3))
+        np.testing.assert_array_equal(mk.mean_axes(Tensor(a), (-1,)).data, mk.mean_axes(Tensor(a), (1,)).data)
+        np.testing.assert_array_equal(mk.slice_axis(Tensor(a), -1, 1, 2).data, a[:, 1:2])
+
+    def test_transpose_with_negative_axes_sends_back_a_gradient_of_the_input_shape(self):
+        a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        out = mk.transpose(a, (-1, 0))
+        backward(sum_all(hadamard(out, Tensor(np.arange(6.0).reshape(3, 2)))))
+        np.testing.assert_array_equal(a.grad, np.arange(6.0).reshape(3, 2).T)
 
 
 # ---------------------------------------------------------------------------
