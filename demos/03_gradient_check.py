@@ -24,7 +24,7 @@ for name, closure in checks.items():
     print(f"{name:<16} worst relative error {err:.2e} (input {which}, coordinate {coord})")
 
 tokens = Tensor(rng.uniform(-1, 1, (grid.size, 2)))
-kernel = Tensor(rng.uniform(-1, 1, (2, 3, 3)))
+kernel = Tensor(rng.uniform(-1, 1, (2, 3, 3)).transpose(1, 2, 0))  # drawn [C, k, k], stored [k, k, C]
 for name, closure in {
     "lce": lambda i: sum_all(lce(i[0], grid, i[1])),
     "cpe": lambda i: sum_all(cpe(i[0], grid, i[1])),

@@ -22,8 +22,8 @@ import numpy as np
 
 from .decay import GridShape, decay_axial_pair, decay_bidirectional_1d, decay_causal_1d
 from .errors import ConfigurationError, DimensionError
-from .tensor import (Tensor, concat, decayed_attention, depthwise_conv2d, hadamard, init_weight,
-                     matmul, mul_scalar, reshape, slice_axis, transpose)
+from .tensor import (Tensor, concat, decayed_attention, depthwise_conv2d, hadamard, init_kernel,
+                     init_weight, matmul, mul_scalar, reshape, slice_axis, transpose)
 
 LCE_KERNEL = 5
 
@@ -36,7 +36,6 @@ class MaSAConfig:
     num_heads: int
     decomposed: bool
     decay: tuple[float, ...]  # one rate per head, as ``gamma_schedule`` returns
-    lce_kernel: int = LCE_KERNEL
 
     def __post_init__(self) -> None:
         if self.dim < 1 or self.num_heads < 1:
@@ -46,8 +45,6 @@ class MaSAConfig:
         if len(self.decay) != self.num_heads:
             raise ConfigurationError(
                 f"decay schedule covers {len(self.decay)} heads but the layer has {self.num_heads}")
-        if self.lce_kernel < 1 or self.lce_kernel % 2 == 0:
-            raise ConfigurationError(f"lce_kernel must be odd and positive, got {self.lce_kernel}")
 
     @property
     def head_dim(self) -> int:
@@ -56,7 +53,7 @@ class MaSAConfig:
 
 @dataclass
 class MaSAParams:
-    """Projection weights and the local-context kernel for one layer."""
+    """Projection weights and the [k, k, dim] local-context kernel for one layer."""
 
     wq: Tensor
     wk: Tensor
@@ -66,10 +63,10 @@ class MaSAParams:
 
 
 def init_masa_params(config: MaSAConfig, rng: np.random.Generator) -> MaSAParams:
-    d, k = config.dim, config.lce_kernel
+    d = config.dim
     return MaSAParams(wq=init_weight(rng, d, d), wk=init_weight(rng, d, d),
                       wv=init_weight(rng, d, d), wo=init_weight(rng, d, d),
-                      lce_kernel_weights=init_weight(rng, d, k, k))
+                      lce_kernel_weights=init_kernel(rng, d, LCE_KERNEL, LCE_KERNEL))
 
 
 def _check_qkv(q: Tensor, k: Tensor, v: Tensor, grid: GridShape | None = None) -> tuple[int, int]:
@@ -189,11 +186,13 @@ def masa_layer_forward(x: Tensor, params: MaSAParams, config: MaSAConfig,
     dim = config.dim
     if x.shape != (grid.size, dim):
         raise DimensionError(f"expected [{grid.size}, {dim}] tokens for the grid, got {x.shape}")
-    square, k_sz = (dim, dim), config.lce_kernel
+    square, k_sz = (dim, dim), (params.lce_kernel_weights.shape or (0,))[0]  # k is read from the weight
     for name, shape in (("wq", square), ("wk", square), ("wv", square), ("wo", square),
-                        ("lce_kernel_weights", (dim, k_sz, k_sz))):
+                        ("lce_kernel_weights", (k_sz, k_sz, dim))):
         if getattr(params, name).shape != shape:
             raise ConfigurationError(f"{name} must have shape {shape}, got {getattr(params, name).shape}")
+    if k_sz % 2 == 0:
+        raise ConfigurationError(f"lce_kernel_weights must have an odd kernel size, got {k_sz}")
 
     q, k, v = (matmul(x, wt) for wt in (params.wq, params.wk, params.wv))
     heads, hd, gammas = config.num_heads, config.head_dim, config.decay

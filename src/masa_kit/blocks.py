@@ -24,8 +24,8 @@ from .attention import (LCE_KERNEL, MaSAConfig, MaSAParams, attention_score_appl
                         init_masa_params, lce, masa_layer_forward, token_image)
 from .decay import GridShape, gamma_schedule
 from .errors import ConfigurationError, DimensionError
-from .tensor import (Tensor, add, conv2d, gelu, init_weight, matmul, mean_axes, normalize,
-                     reshape, transpose)
+from .tensor import (Tensor, add, conv2d, gelu, init_kernel, init_weight, matmul, mean_axes,
+                     normalize, reshape, transpose)
 
 STEM_STRIDES = (2, 1, 2, 1, 1)
 STEM_KERNEL = 3
@@ -61,6 +61,7 @@ class StageConfig:
         if not np.isfinite(hidden) or hidden <= 0 or abs(hidden - round(hidden)) > 1e-9:
             raise ConfigurationError(
                 f"ffn_ratio {self.ffn_ratio} times channels {self.channels} must be a positive integer")
+        gamma_schedule(self.decay_lower, self.decay_upper, self.heads)  # refuses bounds it cannot use
 
     @property
     def ffn_hidden(self) -> int:
@@ -158,8 +159,7 @@ _PRESETS = {
 PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
-def preset_config(name: str, num_classes: int | None = None,
-                  input_resolution: int | None = None) -> ModelConfig:
+def preset_config(name: str, input_resolution: int | None = None) -> ModelConfig:
     """Build one of the named configurations; stages 1-3 decomposed, stage 4 full."""
     if name not in _PRESETS:
         raise ConfigurationError(f"unknown preset {name!r}; known presets: {', '.join(PRESET_NAMES)}")
@@ -170,8 +170,7 @@ def preset_config(name: str, num_classes: int | None = None,
                     decay_upper=float(uppers[i]), decomposed=(i < 3))
         for i in range(4)
     )
-    if num_classes is None:
-        num_classes = 2 if name == "tiny" else 1000
+    num_classes = 2 if name == "tiny" else 1000
     if input_resolution is None:
         input_resolution = 32 if name == "tiny" else 224
     return ModelConfig(stages=stages, num_classes=num_classes, input_resolution=input_resolution)
@@ -335,7 +334,7 @@ def build_backbone(config: ModelConfig, seed: int) -> Model:
 
     stem_convs, stem_norms = [], []
     for cin, cout in _stem_channel_plan(config.stages[0].channels):
-        stem_convs.append(ConvParams(weight=init_weight(rng, cout, cin, STEM_KERNEL, STEM_KERNEL),
+        stem_convs.append(ConvParams(weight=init_kernel(rng, cout, cin, STEM_KERNEL, STEM_KERNEL),
                                      bias=zeros(cout)))
         stem_norms.append(NormParams(gain=ones(cout), bias=zeros(cout)))
 
@@ -349,7 +348,7 @@ def build_backbone(config: ModelConfig, seed: int) -> Model:
         for _ in range(sc.num_blocks):
             c, hidden = sc.channels, sc.ffn_hidden
             blocks.append(BlockParams(
-                cpe_kernel=init_weight(rng, c, CPE_KERNEL, CPE_KERNEL),
+                cpe_kernel=init_kernel(rng, c, CPE_KERNEL, CPE_KERNEL),
                 norm1=NormParams(gain=ones(c), bias=zeros(c)),
                 masa=init_masa_params(masa_configs[-1], rng),
                 norm2=NormParams(gain=ones(c), bias=zeros(c)),
@@ -358,7 +357,7 @@ def build_backbone(config: ModelConfig, seed: int) -> Model:
         stages.append(blocks)
 
     downsamples = [
-        ConvParams(weight=init_weight(rng, config.stages[i + 1].channels, config.stages[i].channels,
+        ConvParams(weight=init_kernel(rng, config.stages[i + 1].channels, config.stages[i].channels,
                                       DOWNSAMPLE_KERNEL, DOWNSAMPLE_KERNEL),
                    bias=zeros(config.stages[i + 1].channels))
         for i in range(3)

@@ -44,7 +44,8 @@ def gamma_schedule(lower: float, upper: float, num_heads: int) -> tuple[float, .
 
     Head i of N receives rate 1 - 2**-(lower + (upper - lower) * i / N) for
     i = 1..N, so rates increase strictly with the head index and the last head
-    lands exactly on 1 - 2**-upper: receptive scale grows per head.
+    lands exactly on 1 - 2**-upper: receptive scale grows per head. Bounds whose
+    rates round to 0 or 1 in float64 are refused.
     """
     if not (0.0 < lower < upper):
         raise ConfigurationError(f"need 0 < lower < upper, got lower={lower}, upper={upper}")
@@ -52,13 +53,14 @@ def gamma_schedule(lower: float, upper: float, num_heads: int) -> tuple[float, .
         raise ConfigurationError(f"num_heads must be at least 1, got {num_heads}")
     exponents = [lower + (upper - lower) * i / num_heads for i in range(1, num_heads + 1)]
     exponents[-1] = upper  # keep the endpoint exact despite float rounding
-    return tuple(1.0 - 2.0 ** -float(e) for e in exponents)
+    return tuple(_check_gamma(1.0 - 2.0 ** -float(e), f" from lower={lower}, upper={upper}")
+                 for e in exponents)
 
 
-def _check_gamma(gamma: float) -> float:
+def _check_gamma(gamma: float, source: str = "") -> float:
     gamma = float(gamma)
     if not (0.0 < gamma < 1.0):
-        raise ConfigurationError(f"decay rate must lie strictly inside (0, 1), got {gamma}")
+        raise ConfigurationError(f"decay rate{source} must lie strictly inside (0, 1), got {gamma}")
     return gamma
 
 

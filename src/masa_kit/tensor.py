@@ -546,8 +546,8 @@ def _depthwise_rows(xp: np.ndarray, kt: np.ndarray) -> np.ndarray:
 
     One einsum per kernel row i contracts the k taps of that row over the
     sliding windows of rows i..i+Ho, so the inner loop runs over contiguous
-    channels. ``kt`` must be a contiguous copy: a strided kernel view sends
-    einsum down a slower path. Returns [Hp - k + 1, Wp - k + 1, C].
+    channels. ``kt`` must be contiguous: a strided kernel view sends einsum
+    down a slower path. Returns [Hp - k + 1, Wp - k + 1, C].
     """
     k = kt.shape[0]
     h = xp.shape[0] - k + 1
@@ -561,16 +561,16 @@ def _depthwise_rows(xp: np.ndarray, kt: np.ndarray) -> np.ndarray:
 def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     """Per-channel 2D cross-correlation with zero padding that preserves H and W.
 
-    ``x`` is [H, W, C], ``kernel`` is [C, k, k] with odd k. The forward pass and
+    ``x`` is [H, W, C], ``kernel`` is [k, k, C] with odd k. The forward pass and
     the input adjoint are k row contractions each (``_depthwise_rows``), the
     adjoint over the padded cotangent with the kernel flipped in both axes; the
     kernel adjoint is k einsums of the cotangent against the input's windows.
     """
     x, kernel = _ensure(x), _ensure(kernel)
     if x.ndim != 3 or kernel.ndim != 3:
-        raise DimensionError(f"depthwise_conv2d needs [H,W,C] and [C,k,k], got {x.shape} and {kernel.shape}")
+        raise DimensionError(f"depthwise_conv2d needs [H,W,C] and [k,k,C], got {x.shape} and {kernel.shape}")
     h, w, c = x.shape
-    ck, kh, kw = kernel.shape
+    kh, kw, ck = kernel.shape
     if kh != kw:
         raise DimensionError(f"depthwise kernel must be square, got {kernel.shape}")
     if kh % 2 == 0:
@@ -579,18 +579,18 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
         raise DimensionError(f"channel mismatch: input has {c} channels, kernel has {ck}")
     pad = kh // 2
     xp = np.pad(x.data, ((pad, pad), (pad, pad), (0, 0)))
-    data = _depthwise_rows(xp, np.ascontiguousarray(kernel.data.transpose(1, 2, 0)))
+    data = _depthwise_rows(xp, np.ascontiguousarray(kernel.data))
     _record_macs(c * h * w * kh * kw)
 
     def vjp_x(g: np.ndarray) -> np.ndarray:
-        flipped = np.ascontiguousarray(kernel.data[:, ::-1, ::-1].transpose(1, 2, 0))
+        flipped = np.ascontiguousarray(kernel.data[::-1, ::-1])
         return _depthwise_rows(np.pad(g, ((pad, pad), (pad, pad), (0, 0))), flipped)
 
     def vjp_kernel(g: np.ndarray) -> np.ndarray:
         win = sliding_window_view(xp, kw, axis=1)
         kg = np.empty_like(kernel.data)
         for i in range(kh):
-            kg[:, i] = np.einsum("hwc,hwcj->cj", g, win[i:i + h])
+            kg[i] = np.einsum("hwc,hwcj->jc", g, win[i:i + h])
         return kg
     return _result(data, (x, vjp_x), (kernel, vjp_kernel))
 
@@ -602,17 +602,17 @@ def _conv_setting(name: str, value, least: int) -> int:
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -> Tensor:
-    """2D cross-correlation plus a per-channel bias: [H,W,Cin] with [Cout,Cin,k,k] -> [Ho,Wo,Cout].
+    """2D cross-correlation plus a per-channel bias: [H,W,Cin] with [k,k,Cin,Cout] -> [Ho,Wo,Cout].
 
     Lowered to one matmul over an im2col matrix [Ho*Wo, k*k*Cin] whose columns run in
     (i, j, cin) order, so the gather and the input adjoint's scatter move whole
-    contiguous channel vectors; the weight is reordered to [Cout, k*k*Cin] to match.
+    contiguous channel vectors; the weight, viewed as [k*k*Cin, Cout], is the other operand.
     """
     x, weight, bias = _ensure(x), _ensure(weight), _ensure(bias)
     if x.ndim != 3 or weight.ndim != 4:
-        raise DimensionError(f"conv2d needs [H,W,Cin] and [Cout,Cin,k,k], got {x.shape} and {weight.shape}")
+        raise DimensionError(f"conv2d needs [H,W,Cin] and [k,k,Cin,Cout], got {x.shape} and {weight.shape}")
     h, w, cin = x.shape
-    cout, cin_w, kh, kw = weight.shape
+    kh, kw, cin_w, cout = weight.shape
     if cin_w != cin:
         raise DimensionError(f"channel mismatch: input has {cin} channels, weight expects {cin_w}")
     if kh != kw:
@@ -627,15 +627,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -
     xp = np.pad(x.data, ((p, p), (p, p), (0, 0)))
     windows = sliding_window_view(xp, (k, k), axis=(0, 1))[::s, ::s]  # [Ho, Wo, Cin, k, k]
     cols = windows.transpose(0, 1, 3, 4, 2).reshape(ho * wo, k * k * cin)
-
-    def wmat() -> np.ndarray:
-        # rebuilt on each use, so the tape holds no reordered copy of the weight
-        return weight.data.transpose(0, 2, 3, 1).reshape(cout, k * k * cin)
-    data = (cols @ wmat().T).reshape(ho, wo, cout) + bias.data
+    data = (cols @ weight.data.reshape(-1, cout)).reshape(ho, wo, cout) + bias.data
     _record_macs(cout * ho * wo * cin * k * k)
 
     def vjp_x(g: np.ndarray) -> np.ndarray:
-        dcols = (g.reshape(ho * wo, cout) @ wmat()).reshape(ho, wo, k, k, cin)
+        dcols = (g.reshape(ho * wo, cout) @ weight.data.reshape(-1, cout).T).reshape(ho, wo, k, k, cin)
         gxp = np.zeros_like(xp)
         for i in range(k):
             for j in range(k):
@@ -643,7 +639,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -
         return gxp[p:p + h, p:p + w]
 
     def vjp_weight(g: np.ndarray) -> np.ndarray:
-        return (g.reshape(ho * wo, cout).T @ cols).reshape(cout, k, k, cin).transpose(0, 3, 1, 2)
+        # (g^T cols)^T runs faster than cols^T g on the tall im2col matrices of the stem
+        return (g.reshape(ho * wo, cout).T @ cols).T.reshape(weight.shape)
     return _result(data, (weight, vjp_weight), (x, vjp_x), (bias, lambda g: g.sum(axis=(0, 1))))
 
 
@@ -667,3 +664,8 @@ def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray
 def init_weight(rng: np.random.Generator, *shape: int) -> Tensor:
     """A trainable weight of ``shape``, drawn by ``trunc_normal``."""
     return Tensor(trunc_normal(rng, shape), requires_grad=True)
+
+
+def init_kernel(rng: np.random.Generator, *shape: int) -> Tensor:
+    """``init_weight``'s draw of [Cout, Cin, k, k] or [C, k, k], stored as [k, k, Cin, Cout] or [k, k, C]."""
+    return Tensor(np.ascontiguousarray(trunc_normal(rng, shape).T.swapaxes(0, 1)), requires_grad=True)

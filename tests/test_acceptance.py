@@ -123,7 +123,7 @@ def test_criterion_5_gradient_checks():
         assert err < 1e-6, f"masa_decomposed: {err}"
 
         v = Tensor(rng.uniform(-1, 1, (4, 2)))
-        kernel = Tensor(rng.uniform(-1, 1, (2, 3, 3)))
+        kernel = Tensor(rng.uniform(-1, 1, (2, 3, 3)).transpose(1, 2, 0))
         err, _ = finite_diff_gradcheck(
             lambda i: mk.sum_all(mk.lce(i[0], grid, i[1])), [v, kernel])
         assert err < 1e-6, f"lce: {err}"
@@ -142,10 +142,11 @@ def test_criterion_5_gradient_checks():
         from masa_kit.blocks import BlockParams, NormParams
 
         config = mk.MaSAConfig(dim=4, num_heads=2, decomposed=False,
-                               decay=mk.gamma_schedule(2, 8, 2), lce_kernel=3)
+                               decay=mk.gamma_schedule(2, 8, 2))
         leaves = [Tensor(rng.uniform(-1, 1, (4, 4)))]          # block input
         leaves += [Tensor(0.2 * rng.uniform(-1, 1, (4, 4))) for _ in range(4)]  # wq wk wv wo
-        leaves += [Tensor(0.2 * rng.uniform(-1, 1, (4, 3, 3))) for _ in range(2)]  # cpe, lce
+        leaves += [Tensor(0.2 * rng.uniform(-1, 1, (4, 3, 3)).transpose(1, 2, 0))
+                   for _ in range(2)]  # cpe, lce
         leaves += [Tensor(rng.uniform(0.8, 1.2, (4,))), Tensor(0.1 * rng.uniform(-1, 1, (4,)))]
         leaves += [Tensor(0.2 * rng.uniform(-1, 1, (4, 4))), Tensor(0.1 * rng.uniform(-1, 1, (4,))),
                    Tensor(0.2 * rng.uniform(-1, 1, (4, 4))), Tensor(0.1 * rng.uniform(-1, 1, (4,)))]

@@ -216,22 +216,22 @@ class TestLce:
     def test_delta_kernel_is_identity(self):
         rng = np.random.default_rng(14)
         v = rand(rng, 6, 3)
-        kernel = np.zeros((3, 5, 5))
-        kernel[:, 2, 2] = 1.0
+        kernel = np.zeros((5, 5, 3))
+        kernel[2, 2] = 1.0
         out = lce(v, GridShape(2, 3), Tensor(kernel))
         np.testing.assert_allclose(out.data, v.data, atol=1e-15)
 
     def test_zero_kernel_gives_zeros(self):
         rng = np.random.default_rng(15)
         v = rand(rng, 4, 2)
-        out = lce(v, GridShape(2, 2), Tensor(np.zeros((2, 3, 3))))
+        out = lce(v, GridShape(2, 2), Tensor(np.zeros((3, 3, 2))))
         np.testing.assert_array_equal(out.data, np.zeros((4, 2)))
 
     def test_against_loop_oracle(self):
         rng = np.random.default_rng(16)
         grid = GridShape(3, 3)
         v = rand(rng, 9, 2)
-        kernel = rand(rng, 2, 3, 3)
+        kernel = Tensor(rng.standard_normal((2, 3, 3)).transpose(1, 2, 0))
         out = lce(v, grid, kernel)
         image = v.data.T.reshape(2, 3, 3)
         expected = np.zeros_like(image)
@@ -242,7 +242,7 @@ class TestLce:
                         for dj in range(3):
                             ii, jj = i + di - 1, j + dj - 1
                             if 0 <= ii < 3 and 0 <= jj < 3:
-                                expected[c, i, j] += kernel.data[c, di, dj] * image[c, ii, jj]
+                                expected[c, i, j] += kernel.data[di, dj, c] * image[c, ii, jj]
         assert np.max(np.abs(out.data - expected.reshape(2, 9).T)) < 1e-12
 
 
@@ -252,7 +252,7 @@ class TestLce:
 
 def _layer_setup(rng, dim=4, heads=2, decomposed=False, grid=GridShape(2, 2)):
     config = MaSAConfig(dim=dim, num_heads=heads, decomposed=decomposed,
-                        decay=gamma_schedule(2, 8, heads), lce_kernel=3)
+                        decay=gamma_schedule(2, 8, heads))
     params = init_masa_params(config, rng)
     x = rand(rng, grid.size, dim)
     return config, params, x
@@ -263,11 +263,11 @@ class TestMasaLayer:
         rng = np.random.default_rng(17)
         dim = 4
         config = MaSAConfig(dim=dim, num_heads=2, decomposed=False,
-                            decay=gamma_schedule(2, 8, 2), lce_kernel=3)
+                            decay=gamma_schedule(2, 8, 2))
         params = init_masa_params(config, rng)
         params.wo = Tensor(np.eye(dim), requires_grad=True)
-        delta = np.zeros((dim, 3, 3))
-        delta[:, 1, 1] = 1.0
+        delta = np.zeros((3, 3, dim))
+        delta[1, 1] = 1.0
         params.lce_kernel_weights = Tensor(delta, requires_grad=True)
         x = rand(rng, 1, dim)
         out = masa_layer_forward(x, params, config, GridShape(1, 1))
@@ -297,14 +297,15 @@ class TestMasaLayer:
         image = v.T.reshape(4, 2, 2)
         local = np.zeros_like(image)
         kw = params.lce_kernel_weights.data
+        k_sz = kw.shape[0]
         for c in range(4):
             for i in range(2):
                 for j in range(2):
-                    for di in range(3):
-                        for dj in range(3):
-                            ii, jj = i + di - 1, j + dj - 1
+                    for di in range(k_sz):
+                        for dj in range(k_sz):
+                            ii, jj = i + di - k_sz // 2, j + dj - k_sz // 2
                             if 0 <= ii < 2 and 0 <= jj < 2:
-                                local[c, i, j] += kw[c, di, dj] * image[c, ii, jj]
+                                local[c, i, j] += kw[di, dj, c] * image[c, ii, jj]
         expected = (attn + local.reshape(4, 4).T) @ params.wo.data
         assert np.max(np.abs(out.data - expected)) < 1e-12
 
@@ -330,6 +331,16 @@ class TestMasaLayer:
         config, params, x = _layer_setup(rng)
         params.wq = Tensor(np.zeros((3, 3)), requires_grad=True)
         with pytest.raises(ConfigurationError):
+            masa_layer_forward(x, params, config, GridShape(2, 2))
+
+    @pytest.mark.parametrize("shape", [(5, 5, 3), (5, 3, 4), (4, 4, 4), (4, 5, 5), (5, 5), ()],
+                             ids=["channels", "non-square", "even", "channels-first", "2-d", "0-d"])
+    def test_malformed_lce_kernel_rejected(self, shape):
+        # the kernel size is read from the weight, so only its own shape can refuse it
+        rng = np.random.default_rng(21)
+        config, params, x = _layer_setup(rng)
+        params.lce_kernel_weights = Tensor(np.zeros(shape), requires_grad=True)
+        with pytest.raises(ConfigurationError, match="lce_kernel_weights"):
             masa_layer_forward(x, params, config, GridShape(2, 2))
 
     def test_head_mismatch_in_config_rejected(self):
@@ -561,10 +572,10 @@ def test_retention_gradients_match_finite_differences(kernel):
 def test_layer_gradients_match_finite_differences(decomposed, grid):
     rng = np.random.default_rng(26)
     config = MaSAConfig(dim=4, num_heads=2, decomposed=decomposed,
-                        decay=gamma_schedule(2, 8, 2), lce_kernel=3)
+                        decay=gamma_schedule(2, 8, 2))
     x = Tensor(rng.uniform(-1, 1, (grid.size, 4)))
     weights = [Tensor(0.3 * rng.uniform(-1, 1, (4, 4))) for _ in range(4)]
-    kernel = Tensor(0.3 * rng.uniform(-1, 1, (4, 3, 3)))
+    kernel = Tensor(0.3 * rng.uniform(-1, 1, (4, 3, 3)).transpose(1, 2, 0))
 
     def closure(inputs):
         from masa_kit import MaSAParams

@@ -36,7 +36,7 @@ def make_stem(c1, rng=None):
     convs, norms = [], []
     for cin, cout in plan:
         w = np.zeros((cout, cin, 3, 3)) if rng is None else 0.02 * rng.standard_normal((cout, cin, 3, 3))
-        convs.append(ConvParams(weight=Tensor(w), bias=Tensor(np.zeros(cout))))
+        convs.append(ConvParams(weight=Tensor(w.transpose(2, 3, 1, 0)), bias=Tensor(np.zeros(cout))))
         norms.append(NormParams(gain=Tensor(np.ones(cout)), bias=Tensor(np.zeros(cout))))
     return StemParams(convs, norms)
 
@@ -68,14 +68,14 @@ class TestCpe:
     def test_zero_kernel_is_passthrough(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.standard_normal((6, 4)))
-        out = cpe(x, GridShape(2, 3), Tensor(np.zeros((4, 3, 3))))
+        out = cpe(x, GridShape(2, 3), Tensor(np.zeros((3, 3, 4))))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_delta_kernel_doubles(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.standard_normal((4, 2)))
-        kernel = np.zeros((2, 3, 3))
-        kernel[:, 1, 1] = 1.0
+        kernel = np.zeros((3, 3, 2))
+        kernel[1, 1] = 1.0
         out = cpe(x, GridShape(2, 2), Tensor(kernel))
         np.testing.assert_allclose(out.data, 2 * x.data, atol=1e-15)
 
@@ -83,7 +83,7 @@ class TestCpe:
         rng = np.random.default_rng(7)
         grid = GridShape(3, 3)
         x = Tensor(rng.standard_normal((9, 2)))
-        kernel = Tensor(rng.standard_normal((2, 3, 3)))
+        kernel = Tensor(rng.standard_normal((2, 3, 3)).transpose(1, 2, 0))
         out = cpe(x, grid, kernel)
         image = x.data.T.reshape(2, 3, 3)
         conv = np.zeros_like(image)
@@ -94,7 +94,7 @@ class TestCpe:
                         for dj in range(3):
                             ii, jj = i + di - 1, j + dj - 1
                             if 0 <= ii < 3 and 0 <= jj < 3:
-                                conv[c, i, j] += kernel.data[c, di, dj] * image[c, ii, jj]
+                                conv[c, i, j] += kernel.data[di, dj, c] * image[c, ii, jj]
         expected = x.data + conv.reshape(2, 9).T
         assert np.max(np.abs(out.data - expected)) < 1e-12
 
@@ -137,24 +137,30 @@ class TestFfn:
             StageConfig(num_blocks=1, channels=4, heads=heads, ffn_ratio=2,
                         decay_lower=2, decay_upper=8, decomposed=True)
 
+    @pytest.mark.parametrize("lower,upper", [(5, 1), (float("nan"), 8), (2, float("nan")), (2, 60)])
+    def test_decay_bounds_gamma_schedule_refuses_rejected(self, lower, upper):
+        with pytest.raises(ConfigurationError, match=f"lower={lower}, upper={upper}"):
+            StageConfig(num_blocks=1, channels=4, heads=2, ffn_ratio=2,
+                        decay_lower=lower, decay_upper=upper, decomposed=True)
+
 
 def _tiny_block(rng, channels=4, heads=2, grid=GridShape(2, 2), zero=False):
     from masa_kit.blocks import BlockParams
     from masa_kit import MaSAConfig, MaSAParams, gamma_schedule
 
-    def w(*shape):
+    def w(*shape, perm=None):
         data = np.zeros(shape) if zero else 0.1 * rng.standard_normal(shape)
-        return Tensor(data, requires_grad=True)
+        return Tensor(data if perm is None else data.transpose(perm), requires_grad=True)
 
     config = MaSAConfig(dim=channels, num_heads=heads, decomposed=False,
-                        decay=gamma_schedule(2, 8, heads), lce_kernel=3)
+                        decay=gamma_schedule(2, 8, heads))
     params = BlockParams(
-        cpe_kernel=w(channels, 3, 3),
+        cpe_kernel=w(channels, 3, 3, perm=(1, 2, 0)),
         norm1=NormParams(gain=Tensor(np.ones(channels), requires_grad=True),
                          bias=Tensor(np.zeros(channels), requires_grad=True)),
         masa=MaSAParams(wq=w(channels, channels), wk=w(channels, channels),
                         wv=w(channels, channels), wo=w(channels, channels),
-                        lce_kernel_weights=w(channels, 3, 3)),
+                        lce_kernel_weights=w(channels, 3, 3, perm=(1, 2, 0))),
         norm2=NormParams(gain=Tensor(np.ones(channels), requires_grad=True),
                          bias=Tensor(np.zeros(channels), requires_grad=True)),
         ffn_w1=w(channels, channels), ffn_b1=w(channels),
@@ -197,10 +203,10 @@ class TestRmtBlock:
             var = ((v - mu) ** 2).mean()
             return (v - mu) / np.sqrt(var + eps) * gain + bias
 
-        x1 = x.data * (1.0 + params.cpe_kernel.data[:, 1, 1])
+        x1 = x.data * (1.0 + params.cpe_kernel.data[1, 1])
         n1 = norm(x1[0], params.norm1.gain.data, params.norm1.bias.data)[None, :]
         v = n1 @ params.masa.wv.data          # single-token attention returns v per head
-        local = v * params.masa.lce_kernel_weights.data[:, 1, 1]
+        local = v * params.masa.lce_kernel_weights.data[1, 1]
         x2 = x1 + (v + local) @ params.masa.wo.data
         n2 = norm(x2[0], params.norm2.gain.data, params.norm2.bias.data)[None, :]
         hidden = n2 @ params.ffn_w1.data + params.ffn_b1.data
@@ -255,7 +261,7 @@ class TestBlockGradients:
     def test_downsample_gradients_match_finite_differences(self):
         rng = np.random.default_rng(32)
         x = Tensor(rng.uniform(-1, 1, (4, 2)))
-        w = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)))
+        w = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)).transpose(2, 3, 1, 0))
         b = Tensor(rng.uniform(-1, 1, (3,)))
 
         def closure(inputs):
@@ -271,14 +277,15 @@ class TestDownsample:
     def test_grid_halves(self):
         rng = np.random.default_rng(13)
         x = Tensor(rng.standard_normal((16, 4)))
-        conv = ConvParams(weight=Tensor(rng.standard_normal((8, 4, 3, 3))),
+        conv = ConvParams(weight=Tensor(rng.standard_normal((8, 4, 3, 3)).transpose(2, 3, 1, 0)),
                           bias=Tensor(np.zeros(8)))
         out, grid = downsample(x, GridShape(4, 4), conv)
         assert (grid.height, grid.width) == (2, 2)
         assert out.shape == (4, 8)
 
     def test_zero_input_zero_bias_gives_zero(self):
-        conv = ConvParams(weight=Tensor(np.random.default_rng(14).standard_normal((8, 4, 3, 3))),
+        conv = ConvParams(weight=Tensor(np.random.default_rng(14).standard_normal((8, 4, 3, 3))
+                                        .transpose(2, 3, 1, 0)),
                           bias=Tensor(np.zeros(8)))
         out, _ = downsample(Tensor(np.zeros((16, 4))), GridShape(4, 4), conv)
         np.testing.assert_array_equal(out.data, np.zeros((4, 8)))
@@ -289,7 +296,7 @@ class TestDownsample:
         w = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
         out, _ = downsample(Tensor(x), GridShape(4, 4),
-                            ConvParams(weight=Tensor(w), bias=Tensor(b)))
+                            ConvParams(weight=Tensor(w.transpose(2, 3, 1, 0)), bias=Tensor(b)))
         image = x.T.reshape(2, 4, 4)
         expected = np.zeros((3, 2, 2))
         for co in range(3):
@@ -306,7 +313,7 @@ class TestDownsample:
         assert np.max(np.abs(out.data - expected.reshape(3, 4).T)) < 1e-12
 
     def test_odd_grid_rejected(self):
-        conv = ConvParams(weight=Tensor(np.zeros((4, 2, 3, 3))), bias=Tensor(np.zeros(4)))
+        conv = ConvParams(weight=Tensor(np.zeros((3, 3, 2, 4))), bias=Tensor(np.zeros(4)))
         with pytest.raises(ConfigurationError):
             downsample(Tensor(np.zeros((9, 2))), GridShape(3, 3), conv)
 
@@ -318,6 +325,20 @@ class TestBuildAndForward:
         m2 = build_backbone(cfg, seed=42)
         for p1, p2 in zip(m1.parameters(), m2.parameters()):
             np.testing.assert_array_equal(p1.data, p2.data)
+
+    def test_conv_parameters_are_stored_as_the_kernels_read_them(self):
+        cfg = preset_config("tiny")
+        model = build_backbone(cfg, seed=0)
+        got = [c.weight for c in model.stem.convs]
+        want = [(3, 3, cin, cout) for cin, cout in ((3, 8), (8, 8), (8, 16), (16, 16), (16, 16))]
+        for sc, stage in zip(cfg.stages, model.stages):
+            for block in stage:
+                got += [block.cpe_kernel, block.masa.lce_kernel_weights]
+                want += [(3, 3, sc.channels), (5, 5, sc.channels)]
+        got += [d.weight for d in model.downsamples]
+        want += [(3, 3, 16, 32), (3, 3, 32, 64), (3, 3, 64, 128)]
+        assert [t.shape for t in got] == want
+        assert all(t.data.flags.c_contiguous for t in got)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError, match="seed"):

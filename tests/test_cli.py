@@ -206,6 +206,10 @@ _CONFIG = ["model-stats", "--config", "{dir}/cfg.json"]
                  id="config-bool-heads"),
     pytest.param(_CONFIG, _tiny_config_text(lambda d: d["stages"][1].update(ffn_ratio="2")),
                  "ffn_ratio", id="config-string-ffn-ratio"),
+    pytest.param(_CONFIG, _tiny_config_text(lambda d: d["stages"][1].update(decay_a=5, decay_b=1)),
+                 "cfg.json", id="config-decay-bounds-reversed"),
+    pytest.param(_CONFIG, _tiny_config_text(lambda d: d["stages"][0].update(decay_a=float("nan"))),
+                 "cfg.json", id="config-nan-decay-bound"),
     pytest.param(["scaling", "--sides", "a,b", "--out", "{dir}/b.csv"], None, "--sides",
                  id="scaling-non-numeric-sides"),
     pytest.param(["scaling", "--head-dim", "0", "--out", "{dir}/b.csv"], None, "--head-dim",

@@ -41,6 +41,12 @@ class TestGammaSchedule:
         with pytest.raises(ConfigurationError):
             gamma_schedule(2, 8, 0)
 
+    @pytest.mark.parametrize("lower,upper,heads,rate", [(2, 60, 4, "1.0"), (1e-18, 2e-18, 1, "0.0")])
+    def test_rates_that_round_to_zero_or_one_rejected(self, lower, upper, heads, rate):
+        # 1 - 2**-60 rounds to 1, and 1 - 2**-2e-18 to 0, in float64
+        with pytest.raises(ConfigurationError, match=f"lower={lower}, upper={upper} .*got {rate}$"):
+            gamma_schedule(lower, upper, heads)
+
 
 class TestCausal1d:
     def test_length_one(self):

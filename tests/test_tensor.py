@@ -128,6 +128,16 @@ def chw(a):
     return np.moveaxis(a, -1, 0)
 
 
+def hwio(w):
+    """A [Cout, Cin, k, k] oracle weight in the [k, k, Cin, Cout] layout conv2d takes."""
+    return w.transpose(2, 3, 1, 0)
+
+
+def oihw(w):
+    """A [k, k, Cin, Cout] conv2d weight (or its gradient) back in the oracles' layout."""
+    return w.transpose(3, 2, 0, 1)
+
+
 # ---------------------------------------------------------------------------
 # matmul
 
@@ -242,12 +252,12 @@ class TestDepthwiseConv:
     def test_delta_kernel_is_identity(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 4, 4))
-        k = np.zeros((2, 3, 3))
-        k[:, 1, 1] = 1.0
+        k = np.zeros((3, 3, 2))
+        k[1, 1] = 1.0
         np.testing.assert_allclose(chw(depthwise_conv2d(Tensor(hwc(x)), Tensor(k)).data), x, atol=1e-15)
 
     def test_ones_kernel_counts_zero_padded_support(self):
-        out = chw(depthwise_conv2d(Tensor(hwc(np.ones((1, 5, 5)))), Tensor(np.ones((1, 3, 3)))).data)
+        out = chw(depthwise_conv2d(Tensor(hwc(np.ones((1, 5, 5)))), Tensor(np.ones((3, 3, 1)))).data)
         assert out[0, 2, 2] == 9.0
         assert out[0, 0, 0] == 4.0
         assert out[0, 0, 4] == 4.0
@@ -257,7 +267,7 @@ class TestDepthwiseConv:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2, 4, 4))
         k = rng.standard_normal((2, 3, 3))
-        out = depthwise_conv2d(Tensor(hwc(x)), Tensor(k))
+        out = depthwise_conv2d(Tensor(hwc(x)), Tensor(hwc(k)))
         assert np.max(np.abs(chw(out.data) - dwconv_oracle(x, k))) < 1e-12
 
     @pytest.mark.parametrize("k", [3, 5])
@@ -266,21 +276,21 @@ class TestDepthwiseConv:
         rng = np.random.default_rng(40 + k)
         x, cot = rng.standard_normal((4, 7, 5)), rng.standard_normal((4, 7, 5))
         kernel = rng.standard_normal((4, k, k))
-        tx, tk = Tensor(hwc(x), requires_grad=True), Tensor(kernel, requires_grad=True)
+        tx, tk = Tensor(hwc(x), requires_grad=True), Tensor(hwc(kernel), requires_grad=True)
         out = depthwise_conv2d(tx, tk)
         backward(sum_all(hadamard(out, Tensor(hwc(cot)))))
         dx, dk = dwconv_adjoint_oracle(x, kernel, cot)
         assert np.max(np.abs(chw(out.data) - dwconv_oracle(x, kernel))) < 1e-12
         assert np.max(np.abs(chw(tx.grad) - dx)) < 1e-12
-        assert np.max(np.abs(tk.grad - dk)) < 1e-12
+        assert np.max(np.abs(chw(tk.grad) - dk)) < 1e-12
         err, _ = finite_diff_gradcheck(
             lambda i: sum_all(hadamard(depthwise_conv2d(i[0], i[1]), Tensor(hwc(cot)))),
-            [Tensor(hwc(x)), Tensor(kernel)])
+            [Tensor(hwc(x)), Tensor(hwc(kernel))])
         assert err < 1e-6
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigurationError):
-            depthwise_conv2d(Tensor(hwc(np.zeros((1, 4, 4)))), Tensor(np.zeros((1, 2, 2))))
+            depthwise_conv2d(Tensor(hwc(np.zeros((1, 4, 4)))), Tensor(np.zeros((2, 2, 1))))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(DimensionError):
@@ -294,7 +304,7 @@ class TestConv2d:
         x = rng.standard_normal((3, 6, 6))
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        out = conv2d(Tensor(hwc(x)), Tensor(w), Tensor(b), stride=stride, padding=padding)
+        out = conv2d(Tensor(hwc(x)), Tensor(hwio(w)), Tensor(b), stride=stride, padding=padding)
         assert np.max(np.abs(chw(out.data) - conv2d_oracle(x, w, b, stride, padding))) < 1e-12
 
     @pytest.mark.parametrize("k,stride,padding", list(itertools.product((3, 5), (1, 2), (0, 1))))
@@ -303,24 +313,24 @@ class TestConv2d:
         x, w, b = rng.standard_normal((3, 9, 6)), rng.standard_normal((4, 3, k, k)), rng.standard_normal(4)
         ho, wo = (9 + 2 * padding - k) // stride + 1, (6 + 2 * padding - k) // stride + 1
         cot = rng.standard_normal((4, ho, wo))
-        tracked = [Tensor(a, requires_grad=True) for a in (hwc(x), w, b)]
+        tracked = [Tensor(a, requires_grad=True) for a in (hwc(x), hwio(w), b)]
         out = conv2d(*tracked, stride=stride, padding=padding)
         backward(sum_all(hadamard(out, Tensor(hwc(cot)))))
         assert np.max(np.abs(chw(out.data) - conv2d_oracle(x, w, b, stride, padding))) < 1e-12
-        got = (chw(tracked[0].grad), tracked[1].grad, tracked[2].grad)
+        got = (chw(tracked[0].grad), oihw(tracked[1].grad), tracked[2].grad)
         for name, g, want in zip(("dx", "dw", "db"), got, conv2d_adjoint_oracle(x, w, cot, stride, padding)):
             assert g.shape == want.shape, name
             assert np.max(np.abs(g - want)) < 1e-12, name
         err, _ = finite_diff_gradcheck(
             lambda i: sum_all(hadamard(conv2d(*i, stride=stride, padding=padding), Tensor(hwc(cot)))),
-            [Tensor(hwc(x)), Tensor(w), Tensor(b)])
+            [Tensor(hwc(x)), Tensor(hwio(w)), Tensor(b)])
         assert err < 1e-6
 
     def test_forward_retains_only_its_output_the_cols_and_the_padded_input(self):
         # the last rmt-t downsample: a reordered copy of its 512x256x3x3 weight would add 9.4 MB
         rng = np.random.default_rng(45)
         x = Tensor(rng.standard_normal((14, 14, 256)), requires_grad=True)
-        w = Tensor(rng.standard_normal((512, 256, 3, 3)), requires_grad=True)
+        w = Tensor(hwio(rng.standard_normal((512, 256, 3, 3))), requires_grad=True)
         b = Tensor(rng.standard_normal(512), requires_grad=True)
         tracemalloc.start()
         try:
@@ -336,19 +346,29 @@ class TestConv2d:
                                                     (2.0, 1, "2.0"), (1, -1, "-1"), (1, 0.5, "0.5")])
     def test_stride_and_padding_that_are_not_counts_rejected(self, stride, padding, bad):
         with pytest.raises(ConfigurationError, match=f"got {bad}$"):
-            conv2d(Tensor(np.zeros((8, 8, 2))), Tensor(np.zeros((5, 2, 3, 3))), Tensor(np.zeros(5)),
+            conv2d(Tensor(np.zeros((8, 8, 2))), Tensor(np.zeros((3, 3, 2, 5))), Tensor(np.zeros(5)),
                    stride=stride, padding=padding)
 
     def test_strided_output_shape(self):
-        out = conv2d(Tensor(hwc(np.zeros((2, 8, 8)))), Tensor(np.zeros((5, 2, 3, 3))),
+        out = conv2d(Tensor(hwc(np.zeros((2, 8, 8)))), Tensor(np.zeros((3, 3, 2, 5))),
                      Tensor(np.zeros(5)), stride=2, padding=1)
         assert chw(out.data).shape == (5, 4, 4)
 
     @pytest.mark.parametrize("bias_shape", [(4,), (6,), (5, 1), ()])
     def test_bias_of_the_wrong_shape_rejected(self, bias_shape):
         with pytest.raises(DimensionError, match="bias"):
-            conv2d(Tensor(np.zeros((8, 8, 2))), Tensor(np.zeros((5, 2, 3, 3))),
+            conv2d(Tensor(np.zeros((8, 8, 2))), Tensor(np.zeros((3, 3, 2, 5))),
                    Tensor(np.zeros(bias_shape)), stride=1, padding=1)
+
+
+class TestInitKernel:
+    @pytest.mark.parametrize("shape,perm", [((5, 3, 3, 3), (2, 3, 1, 0)), ((4, 5, 5), (1, 2, 0))],
+                             ids=["conv", "depthwise"])
+    def test_the_channels_first_draw_permuted_once(self, shape, perm):
+        want = mk.tensor.trunc_normal(np.random.default_rng(9), shape).transpose(perm)
+        got = mk.tensor.init_kernel(np.random.default_rng(9), *shape)
+        assert np.array_equal(got.data, want)
+        assert got.data.flags.c_contiguous and got.requires_grad
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +517,11 @@ def test_mean_axes_is_the_sum_times_the_reciprocal_count():
 def test_conv_gradients_match_finite_differences():
     rng = np.random.default_rng(8)
     x = Tensor(hwc(rng.uniform(-2, 2, (2, 4, 4))))
-    k = Tensor(rng.uniform(-2, 2, (2, 3, 3)))
+    k = Tensor(hwc(rng.uniform(-2, 2, (2, 3, 3))))
     err, _ = finite_diff_gradcheck(lambda i: sum_all(depthwise_conv2d(i[0], i[1])), [x, k])
     assert err < 1e-6
 
-    w = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)))
+    w = Tensor(hwio(rng.uniform(-1, 1, (3, 2, 3, 3))))
     b = Tensor(rng.uniform(-1, 1, (3,)))
     err, _ = finite_diff_gradcheck(
         lambda i: sum_all(conv2d(i[0], i[1], i[2], stride=2, padding=1)), [x, w, b])
