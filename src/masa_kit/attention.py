@@ -69,11 +69,9 @@ def init_masa_params(config: MaSAConfig, rng: np.random.Generator) -> MaSAParams
                       lce_kernel_weights=init_kernel(rng, d, LCE_KERNEL, LCE_KERNEL))
 
 
-def _check_qkv(q: Tensor, k: Tensor, v: Tensor, grid: GridShape | None = None) -> tuple[int, int]:
+def _check_qkv(q: Tensor, k: Tensor, v: Tensor) -> tuple[int, int]:
     if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
         raise DimensionError(f"q, k, v must share one [L, d] shape, got {q.shape}, {k.shape}, {v.shape}")
-    if grid is not None and q.shape[0] != grid.size:
-        raise DimensionError(f"{q.shape[0]} tokens do not fill a {grid.height}x{grid.width} grid")
     return q.shape
 
 
@@ -108,15 +106,11 @@ def bi_retention(q: Tensor, k: Tensor, v: Tensor, gamma: float) -> Tensor:
 
 
 def token_image(x: Tensor, grid: GridShape) -> Tensor:
-    """[N, C] tokens as the channels-last [H, W, C] map of their grid: one reshape."""
-    if x.ndim != 2 or x.shape[0] != grid.size:
-        raise DimensionError(f"expected [N, C] tokens filling a {grid.height}x{grid.width} grid, "
+    """[..., N, C] tokens as the channels-last [..., H, W, C] map of their grid: one reshape."""
+    if x.ndim < 2 or x.shape[-2] != grid.size:
+        raise DimensionError(f"expected [..., N, C] tokens filling a {grid.height}x{grid.width} grid, "
                              f"got {x.shape}")
-    return reshape(x, (grid.height, grid.width, x.shape[1]))
-
-
-# The 1x1 outer factor that turns one axial decay into the factor pair of ``decayed_attention``.
-_UNIT = Tensor(np.ones((1, 1)))
+    return reshape(x, x.shape[:-2] + (grid.height, grid.width, x.shape[-1]))
 
 
 def _swap_grid_axes(t: Tensor) -> Tensor:
@@ -125,46 +119,50 @@ def _swap_grid_axes(t: Tensor) -> Tensor:
     return transpose(t, tuple(range(n - 3)) + (n - 2, n - 3, n - 1))
 
 
-def _decomposed(q: Tensor, k: Tensor, v: Tensor, d_h: Tensor | None, d_w: Tensor | None,
-                scale: float) -> Tensor:
-    """Width pass per row, then height pass per column, of [..., H, W, d] tokens.
-
-    Returns [..., W, H, d]; the caller's own transpose restores the grid order.
-    """
-    along_w = None if d_w is None else (_UNIT, d_w)
-    along_h = None if d_h is None else (_UNIT, d_h)
-    mixed = _swap_grid_axes(decayed_attention(q, k, v, along_w, scale))
-    return decayed_attention(_swap_grid_axes(q), _swap_grid_axes(k), mixed, along_h, scale)
+def _check_rates(q: Tensor, gamma: float | tuple[float, ...] | None) -> None:
+    if isinstance(gamma, tuple) and (q.ndim < 3 or q.shape[0] != len(gamma)):
+        raise DimensionError(f"{len(gamma)} decay rates need a first (head) axis of that length "
+                             f"before the [N, d] tokens, got {q.shape}")
 
 
-def masa_full(q: Tensor, k: Tensor, v: Tensor, grid: GridShape, gamma: float | None) -> Tensor:
+def masa_full(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
+              gamma: float | tuple[float, ...] | None) -> Tensor:
     """Softmax attention with a Manhattan decay prior over a 2D token grid.
 
-    Softmax runs row-wise first; the decay matrix then multiplies the weights
-    entrywise and the rows are deliberately not renormalized. ``gamma=None``
-    skips the decay entirely (plain softmax attention). The logits are divided
-    by sqrt(d) before the softmax. The decay enters as its two axial factors,
-    so no N x N matrix is built.
+    q, k and v are [..., N, d] over the N tokens of ``grid``; the leading axes
+    are a batch. Softmax runs row-wise first; the decay matrix then multiplies
+    the weights entrywise and the rows are deliberately not renormalized. The
+    logits are divided by sqrt(d) before the softmax. ``gamma`` is one rate,
+    None (no decay: plain softmax attention), or a tuple with one rate per
+    entry of the first axis (the heads), shared by any axes between it and N.
+    The decay enters as its two axial factors, so no N x N matrix is built.
     """
-    _, d = _check_qkv(q, k, v, grid)
-    factors = decay_axial_pair(grid, gamma) if gamma is not None else None
-    return decayed_attention(q, k, v, factors, 1.0 / math.sqrt(d))
+    if q.shape[-2:-1] != (grid.size,):
+        raise DimensionError(f"expected [..., N, d] tokens filling a {grid.height}x{grid.width} grid, "
+                             f"got {q.shape}")
+    _check_rates(q, gamma)
+    factors = None if gamma is None else decay_axial_pair(grid, gamma)
+    if isinstance(gamma, tuple):  # [heads, n, n] -> [heads, 1, ..., n, n] over the batch axes
+        factors = tuple(Tensor(f.data.reshape(f.shape[:1] + (1,) * (q.ndim - 3) + f.shape[1:]))
+                        for f in factors)
+    return decayed_attention(q, k, v, factors, 1.0 / math.sqrt(q.shape[-1]))
 
 
 def masa_decomposed(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
-                    gamma: float | None) -> Tensor:
-    """Axis-decomposed Manhattan attention: width pass per row, then height per column.
+                    gamma: float | tuple[float, ...] | None) -> Tensor:
+    """Axis-decomposed Manhattan attention: ``masa_full`` along each row, then each column.
 
-    Each axis applies softmax attention weighted by its own 1D decay matrix.
+    Takes q, k, v and ``gamma`` as ``masa_full`` does. Each axis applies softmax
+    attention weighted by its own 1D decay matrix, the decay of a one-row grid.
     Because the 2D decay factors exactly over the axes, the spatial prior of
     the full form is preserved; with uniform attention weights the two forms
     coincide.
     """
-    n_tokens, d = _check_qkv(q, k, v, grid)
-    d_h, d_w = decay_axial_pair(grid, gamma) if gamma is not None else (None, None)
-    q3, k3, v3 = (token_image(t, grid) for t in (q, k, v))
-    out = _decomposed(q3, k3, v3, d_h, d_w, 1.0 / math.sqrt(d))
-    return reshape(_swap_grid_axes(out), (n_tokens, d))
+    _check_rates(q, gamma)
+    qi, ki, vi = (token_image(t, grid) for t in (q, k, v))
+    mixed = _swap_grid_axes(masa_full(qi, ki, vi, GridShape(1, grid.width), gamma))
+    out = masa_full(_swap_grid_axes(qi), _swap_grid_axes(ki), mixed, GridShape(1, grid.height), gamma)
+    return reshape(_swap_grid_axes(out), v.shape)
 
 
 def lce(v: Tensor, grid: GridShape, kernel: Tensor) -> Tensor:
@@ -176,12 +174,12 @@ def masa_layer_forward(x: Tensor, params: MaSAParams, config: MaSAConfig,
                        grid: GridShape) -> Tensor:
     """Multi-head Manhattan attention layer.
 
-    Projects Q, K, V and splits the channels into heads that run as one batch
-    axis, each with its own decay rate: the per-head axial decay factors are
-    stacked and broadcast over the batch, so no head is sliced out and no
-    head output is concatenated. The mode (full or decomposed) follows the
-    config. The depthwise local-context term of the undivided V is added to
-    the merged heads, and the output projection is applied to the sum.
+    Projects Q, K, V and splits the channels into heads, [heads, N, head_dim],
+    that run as the batch axis of one kernel call, each with its own decay
+    rate: no head is sliced out and no head output is concatenated. The
+    kernel (``masa_full`` or ``masa_decomposed``) follows the config. The
+    depthwise local-context term of the undivided V is added to the merged
+    heads, and the output projection is applied to the sum.
     """
     dim = config.dim
     if x.shape != (grid.size, dim):
@@ -195,18 +193,10 @@ def masa_layer_forward(x: Tensor, params: MaSAParams, config: MaSAConfig,
         raise ConfigurationError(f"lce_kernel_weights must have an odd kernel size, got {k_sz}")
 
     q, k, v = (matmul(x, wt) for wt in (params.wq, params.wk, params.wv))
-    heads, hd, gammas = config.num_heads, config.head_dim, config.decay
-    scale = 1.0 / math.sqrt(hd)
-    h, w = grid.height, grid.width
-    d_h, d_w = (np.stack([decay_bidirectional_1d(n, g).data for g in gammas]) for n in (h, w))
-    if config.decomposed:
-        qh, kh, vh = (transpose(reshape(t, (h, w, heads, hd)), (2, 0, 1, 3)) for t in (q, k, v))
-        out = _decomposed(qh, kh, vh, Tensor(d_h[:, None]), Tensor(d_w[:, None]), scale)
-        out = transpose(out, (2, 1, 0, 3))
-    else:
-        qh, kh, vh = (transpose(reshape(t, (grid.size, heads, hd)), (1, 0, 2)) for t in (q, k, v))
-        out = transpose(decayed_attention(qh, kh, vh, (Tensor(d_h), Tensor(d_w)), scale), (1, 0, 2))
-    attn = reshape(out, (grid.size, dim))
+    qh, kh, vh = (transpose(reshape(t, (grid.size, config.num_heads, config.head_dim)), (1, 0, 2))
+                  for t in (q, k, v))
+    out = (masa_decomposed if config.decomposed else masa_full)(qh, kh, vh, grid, config.decay)
+    attn = reshape(transpose(out, (1, 0, 2)), (grid.size, dim))
     return matmul(attn + lce(v, grid, params.lce_kernel_weights), params.wo)
 
 

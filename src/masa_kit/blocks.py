@@ -52,6 +52,8 @@ class StageConfig:
             raise ConfigurationError(f"a stage needs at least one block, got {self.num_blocks}")
         if self.heads < 1:
             raise ConfigurationError(f"a stage needs at least one head, got {self.heads}")
+        if self.channels < 1:
+            raise ConfigurationError(f"a stage needs at least one channel, got channels={self.channels}")
         if self.channels % self.heads:
             raise ConfigurationError(f"channels {self.channels} not divisible by heads {self.heads}")
         try:

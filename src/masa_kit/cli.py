@@ -112,7 +112,7 @@ def _resolve_config(args: argparse.Namespace) -> blocks.ModelConfig:
 
 def cmd_model_stats(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    resolution = args.resolution
+    resolution = config.input_resolution if args.resolution is None else args.resolution
     params = blocks.count_params_analytic(config)
     macs = blocks.count_flops(config, resolution)
     print(f"resolution: {resolution}x{resolution}")
@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", choices=blocks.PRESET_NAMES)
     group.add_argument("--config", help="path to a model-config JSON file")
-    p.add_argument("--resolution", type=int, default=224)
+    p.add_argument("--resolution", type=int, default=None,
+                   help="input resolution to account at (default: the config's input_resolution)")
     p.set_defaults(func=cmd_model_stats)
 
     p = sub.add_parser("scaling", help="attention-kernel scaling benchmark")

@@ -95,11 +95,17 @@ def decay_manhattan_2d(grid: GridShape, gamma: float) -> Tensor:
     return Tensor(gamma ** dist)
 
 
-def decay_axial_pair(grid: GridShape, gamma: float) -> tuple[Tensor, Tensor]:
+def decay_axial_pair(grid: GridShape, gamma: float | tuple[float, ...]) -> tuple[Tensor, Tensor]:
     """1D decay matrices for the height and width axes of a grid.
 
     Their Kronecker product (height factor first) equals the full Manhattan
-    matrix, so splitting attention per axis keeps the same spatial prior.
+    matrix, so splitting attention per axis keeps the same spatial prior. A
+    tuple of rates, one per head, gives the factors stacked as [heads, H, H]
+    and [heads, W, W].
     """
-    return (decay_bidirectional_1d(grid.height, gamma),
-            decay_bidirectional_1d(grid.width, gamma))
+    if not isinstance(gamma, tuple):
+        return decay_bidirectional_1d(grid.height, gamma), decay_bidirectional_1d(grid.width, gamma)
+    if not gamma:
+        raise ConfigurationError("a tuple of decay rates needs at least one rate")
+    return tuple(Tensor(np.stack([decay_bidirectional_1d(n, g).data for g in gamma]))
+                 for n in (grid.height, grid.width))

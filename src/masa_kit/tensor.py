@@ -302,11 +302,12 @@ def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """``a`` in ``shape``: a view of its data when numpy can give one, so no array is copied."""
     a = _ensure(a)
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != a.size:
         raise DimensionError(f"cannot reshape {a.shape} into {shape}")
-    return _result(a.data.reshape(shape).copy(), (a, lambda g: g.reshape(a.shape)))
+    return _result(a.data.reshape(shape), (a, lambda g: g.reshape(a.shape)))
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:

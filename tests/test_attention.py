@@ -41,6 +41,32 @@ def masa_full_oracle(q, k, v, height, width, gamma):
     return weights @ v
 
 
+def axis_decay(length, gamma, batch_ndim):
+    """gamma**|i - j| along one axis: [L, L], or [heads, 1, ..., L, L] for a tuple of rates."""
+    if not isinstance(gamma, tuple):
+        return manhattan_weights(1, length, gamma)
+    decay = np.stack([manhattan_weights(1, length, g) for g in gamma])
+    return decay.reshape(decay.shape[:1] + (1,) * (batch_ndim - 1) + decay.shape[1:])
+
+
+def masa_decomposed_oracle(q, k, v, height, width, gamma):
+    """[..., N, d] arrays attended along each row with the width decay, then each column
+    with the height decay, each pass the composite step of ``composite_attend``."""
+    def image(a):
+        return a.reshape(a.shape[:-2] + (height, width, a.shape[-1]))
+
+    def attend(q, k, v, length):
+        decay = None if gamma is None else Tensor(axis_decay(length, gamma, q.ndim - 2))
+        return composite_attend(Tensor(q), Tensor(k), Tensor(v), decay,
+                                1 / math.sqrt(q.shape[-1])).data
+
+    def columns(a):
+        return np.swapaxes(a, -2, -3)
+    rows = attend(image(q), image(k), image(v), width)
+    out = attend(columns(image(q)), columns(image(k)), columns(rows), height)
+    return columns(out).reshape(v.shape)
+
+
 def composite_attend(q, k, v, decay, scale):
     """The unfused MaSA step on the tape, one op each: logits, scale, softmax, decay, apply."""
     n = k.ndim
@@ -204,12 +230,64 @@ class TestMasaDecomposed:
         split = masa_decomposed(q, k, v, grid, 0.7)
         assert np.max(np.abs(full.data - split.data)) < 1e-12
 
+    @pytest.mark.parametrize("lead,gamma", [((), 0.6), ((), None), ((3,), (0.3, 0.6, 0.9)),
+                                            ((3,), 0.6), ((2, 2), (0.5, 0.8))],
+                             ids=["2-d", "2-d-no-decay", "heads", "heads-one-rate", "heads-and-batch"])
+    @pytest.mark.parametrize("height,width", [(2, 3), (3, 5), (4, 4), (1, 4), (5, 1)])
+    def test_against_rows_then_columns_oracle(self, lead, gamma, height, width):
+        rng = np.random.default_rng(height * 10 + width)
+        q, k, v = (rng.standard_normal(lead + (height * width, 3)) for _ in range(3))
+        out = masa_decomposed(Tensor(q), Tensor(k), Tensor(v), GridShape(height, width), gamma)
+        expected = masa_decomposed_oracle(q, k, v, height, width, gamma)
+        assert np.max(np.abs(out.data - expected)) < 1e-12
+
+    def test_two_d_input_keeps_its_ten_op_tape(self):
+        rng = np.random.default_rng(40)
+        grid = GridShape(2, 3)
+        q, k, v = (Tensor(rng.standard_normal((grid.size, 4)), requires_grad=True) for _ in range(3))
+        nodes = tape_for(masa_decomposed(q, k, v, grid, 0.8)).nodes
+        ops = sorted(n._edges[0][1].__qualname__.split(".")[0] for n in nodes if n._edges)
+        assert ops == ["decayed_attention"] * 2 + ["reshape"] * 4 + ["transpose"] * 4
+
     def test_tall_strip_equals_full_form(self):
         rng = np.random.default_rng(13)
         grid = GridShape(5, 1)
         q, k, v = (rand(rng, 5, 2) for _ in range(3))
         assert np.max(np.abs(masa_full(q, k, v, grid, 0.6).data
                              - masa_decomposed(q, k, v, grid, 0.6).data)) < 1e-12
+
+
+@pytest.mark.parametrize("kernel", [masa_full, masa_decomposed])
+class TestHeadAxis:
+    """A tuple of rates gives each entry of the first axis its own decay."""
+
+    def test_equals_the_stacked_single_rate_calls_with_their_gradients(self, kernel):
+        rng = np.random.default_rng(41)
+        grid, gammas = GridShape(2, 3), (0.3, 0.6, 0.9)
+        arrays = [rng.standard_normal((3, grid.size, 4)) for _ in range(4)]
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays[:3])
+        out = kernel(q, k, v, grid, gammas)
+        backward(sum_all(hadamard(out, Tensor(arrays[3]))))
+        for h, gamma in enumerate(gammas):
+            qh, kh, vh = (Tensor(a[h], requires_grad=True) for a in arrays[:3])
+            head = kernel(qh, kh, vh, grid, gamma)
+            backward(sum_all(hadamard(head, Tensor(arrays[3][h]))))
+            assert np.max(np.abs(out.data[h] - head.data)) < 1e-12
+            for batched, single in ((q, qh), (k, kh), (v, vh)):
+                assert np.max(np.abs(batched.grad[h] - single.grad)) < 1e-12
+
+    @pytest.mark.parametrize("grid,shape,gammas", [
+        ((2, 3), (6, 4), (0.5, 0.7)), ((2, 3), (6, 4), (0.5,) * 6), ((2, 3), (3, 6, 4), (0.5, 0.7)),
+        ((2, 3), (2, 6, 4), (0.5,)), ((2, 3), (3, 6, 4), ()),
+        # the decomposed form's [2, 2, d] token image has a first axis as long as the tuple
+        ((2, 2), (4, 4), (0.5, 0.7))],
+        ids=["2-d", "2-d-one-rate-per-token", "too-few", "too-one", "none", "2-d-one-rate-per-row"])
+    def test_a_rate_tuple_that_does_not_match_the_first_axis_rejected(self, kernel, grid, shape,
+                                                                       gammas):
+        rng = np.random.default_rng(42)
+        q = rand(rng, *shape)
+        with pytest.raises(DimensionError, match="decay rates"):
+            kernel(q, q, q, GridShape(*grid), gammas)
 
 
 class TestLce:
@@ -325,6 +403,11 @@ class TestMasaLayer:
         local = lce(Tensor(v), grid, params.lce_kernel_weights).data
         expected = (np.concatenate(head_outs, axis=1) + local) @ params.wo.data
         assert np.max(np.abs(out.data - expected)) < 1e-12
+
+        heads = [masa_decomposed_oracle(q[:, sl], k[:, sl], v[:, sl], 2, 3, gamma)
+                 for sl, gamma in ((slice(0, 2), config.decay[0]), (slice(2, 4), config.decay[1]))]
+        oracle = (np.concatenate(heads, axis=1) + local) @ params.wo.data
+        assert np.max(np.abs(out.data - oracle)) < 1e-12
 
     def test_config_params_mismatch_rejected(self):
         rng = np.random.default_rng(21)

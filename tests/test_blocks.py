@@ -137,6 +137,13 @@ class TestFfn:
             StageConfig(num_blocks=1, channels=4, heads=heads, ffn_ratio=2,
                         decay_lower=2, decay_upper=8, decomposed=True)
 
+    @pytest.mark.parametrize("channels", [0, -32])
+    def test_non_positive_channels_rejected(self, channels):
+        # -32 with ffn_ratio -2 passes the divisibility and hidden-width checks
+        with pytest.raises(ConfigurationError, match="at least one channel, got channels="):
+            StageConfig(num_blocks=1, channels=channels, heads=2, ffn_ratio=-2,
+                        decay_lower=2, decay_upper=8, decomposed=True)
+
     @pytest.mark.parametrize("lower,upper", [(5, 1), (float("nan"), 8), (2, float("nan")), (2, 60)])
     def test_decay_bounds_gamma_schedule_refuses_rejected(self, lower, upper):
         with pytest.raises(ConfigurationError, match=f"lower={lower}, upper={upper}"):
@@ -418,7 +425,11 @@ class TestTapeSize:
         sample = synth_dataset(0, 1, 32, 2)[0]
         loss = cross_entropy(forward_classify(model, sample.image), sample.label)
         nodes = mk.tape_for(loss).nodes
-        assert len(nodes) == 249
+        # each of the three decomposed layers holds 18 attention nodes: the head split and merge
+        # (8), three token images, two masa_full passes, four grid swaps and the final reshape
+        assert len(nodes) == 264
+        reshapes = [n for n in nodes if n._edges and n._edges[0][1].__qualname__.startswith("reshape.")]
+        assert reshapes and all(np.shares_memory(n.data, n._edges[0][0].data) for n in reshapes)
         mk.backward(loss)  # after it, only the leaves hold a gradient
         assert all((n.grad is None) == bool(n._edges) for n in nodes)
 

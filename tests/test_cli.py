@@ -106,6 +106,19 @@ class TestModelStats:
         assert run_cli("model-stats", "--config", str(cfg_path), "--resolution", "32") == 0
         assert "parameters: 287914" in capsys.readouterr().out
 
+    def test_preset_is_accounted_at_its_own_resolution(self, capsys):
+        assert run_cli("model-stats", "--preset", "tiny") == 0
+        out = capsys.readouterr().out
+        assert "resolution: 32x32" in out and "flops:      1425664 MACs" in out
+
+    @pytest.mark.parametrize("flag,shown", [([], "64x64"), (["--resolution", "96"], "96x96")],
+                             ids=["config", "flag-overrides"])
+    def test_config_resolution_is_the_default(self, tmp_path, capsys, flag, shown):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(preset_config("tiny", input_resolution=64).to_json())
+        assert run_cli("model-stats", "--config", str(cfg_path), *flag) == 0
+        assert capsys.readouterr().out.startswith(f"resolution: {shown}\n")
+
     def test_unknown_preset_is_a_usage_error_listing_presets(self, capsys):
         assert run_cli("model-stats", "--preset", "rmt-xxl") == 1
         lines = capsys.readouterr().err.splitlines()
@@ -196,6 +209,8 @@ _CONFIG = ["model-stats", "--config", "{dir}/cfg.json"]
                  "ffn_ratio", id="config-infinite-ffn-ratio"),
     pytest.param(_CONFIG, _tiny_config_text(lambda d: d["stages"][1].update(heads=0)), "head",
                  id="config-zero-heads"),
+    pytest.param(_CONFIG, _tiny_config_text(lambda d: d["stages"][1].update(channels=-32, ffn_ratio=-2)),
+                 "channels", id="config-negative-channels"),
     pytest.param(_CONFIG, _tiny_config_text(lambda d: d.update(input_resolution=36)), "32",
                  id="config-resolution-36"),
     pytest.param(_CONFIG, _tiny_config_text(lambda d: d["stages"][0].update(decomposed="false")),
@@ -239,11 +254,11 @@ _CONFIG = ["model-stats", "--config", "{dir}/cfg.json"]
     pytest.param(["scaling"], None, "--out", id="usage-missing-required-flag"),
     pytest.param([], None, "command", id="usage-no-subcommand"),
 ])
-def test_bad_input_gives_one_error_line_and_exit_1(tmp_path, argv, config_text, named):
+def test_bad_input_gives_one_error_line_and_exit_1(tmp_path, src_env, argv, config_text, named):
     if config_text is not None:
         (tmp_path / "cfg.json").write_text(config_text)
     proc = subprocess.run([sys.executable, "-m", "masa_kit"] + [a.format(dir=tmp_path) for a in argv],
-                          capture_output=True, text=True)
+                          env=src_env, capture_output=True, text=True)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
@@ -381,17 +396,17 @@ def test_bench_record_rejects_nonpositive_counts():
                     macs=8192, wall_ns=0, workers="default")
 
 
-def test_module_entry_point_smoke(tmp_path):
+def test_module_entry_point_smoke(tmp_path, src_env):
     out = tmp_path / "d.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "masa_kit", "dump-decay", "--height", "2", "--width", "2",
          "--gamma", "0.5", "--out", str(out)],
-        capture_output=True, text=True)
+        env=src_env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert out.exists()
 
 
-def test_console_script_is_installed():
+def test_console_script_is_installed(src_env):
     """The `masa-kit` script declared in pyproject.toml runs `main`.
 
     The declaration is read from pyproject.toml and called the way the wrapper
@@ -415,6 +430,6 @@ def test_console_script_is_installed():
     if installed:
         commands.append([installed, "--help"])
     for command in commands:
-        proc = subprocess.run(command, capture_output=True, text=True)
+        proc = subprocess.run(command, env=src_env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "dump-decay" in proc.stdout

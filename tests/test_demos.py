@@ -1,6 +1,5 @@
 """Each script in demos/ runs to completion from a source checkout."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +15,8 @@ def test_demos_are_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_exits_0_without_a_traceback(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True,
+def test_demo_exits_0_without_a_traceback(demo, src_env):
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=src_env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr

@@ -559,6 +559,13 @@ class TestAxes:
         np.testing.assert_array_equal(mk.mean_axes(Tensor(a), (-1,)).data, mk.mean_axes(Tensor(a), (1,)).data)
         np.testing.assert_array_equal(mk.slice_axis(Tensor(a), -1, 1, 2).data, a[:, 1:2])
 
+    def test_reshape_of_a_contiguous_tensor_is_a_view_with_the_same_gradient(self):
+        a = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        out = mk.reshape(a, (2, 3, 2))
+        assert np.shares_memory(out.data, a.data)
+        backward(sum_all(hadamard(out, Tensor(np.arange(12.0).reshape(2, 3, 2)))))
+        np.testing.assert_array_equal(a.grad, np.arange(12.0).reshape(3, 4))
+
     def test_transpose_with_negative_axes_sends_back_a_gradient_of_the_input_shape(self):
         a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         out = mk.transpose(a, (-1, 0))
