@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import GridShape, decay_axial_pair, decay_bidirectional_1d, decay_causal_1d
+from .decay import (GridShape, _check_gamma, decay_axial_pair, decay_bidirectional_1d,
+                    decay_causal_1d)
 from .errors import ConfigurationError, DimensionError
 from .tensor import (Tensor, concat, decayed_attention, depthwise_conv2d, hadamard, init_kernel,
                      init_weight, matmul, mul_scalar, reshape, slice_axis, transpose)
@@ -42,9 +43,13 @@ class MaSAConfig:
             raise ConfigurationError(f"dim and num_heads must be positive, got {self.dim}, {self.num_heads}")
         if self.dim % self.num_heads:
             raise ConfigurationError(f"dim {self.dim} is not divisible by num_heads {self.num_heads}")
+        if not isinstance(self.decay, tuple):
+            raise ConfigurationError(f"decay must be a tuple of one rate per head, got {self.decay!r}")
         if len(self.decay) != self.num_heads:
             raise ConfigurationError(
                 f"decay schedule covers {len(self.decay)} heads but the layer has {self.num_heads}")
+        for head, rate in enumerate(self.decay):
+            _check_gamma(rate, f" of head {head}")
 
     @property
     def head_dim(self) -> int:
@@ -78,8 +83,7 @@ def _check_qkv(q: Tensor, k: Tensor, v: Tensor) -> tuple[int, int]:
 def retention_recurrent(q: Tensor, k: Tensor, v: Tensor, gamma: float) -> Tensor:
     """Causal decayed attention via the running state S_n = gamma*S_{n-1} + k_n^T v_n."""
     length, d = _check_qkv(q, k, v)
-    if not (0.0 < float(gamma) < 1.0):
-        raise ConfigurationError(f"decay rate must lie strictly inside (0, 1), got {gamma}")
+    gamma = _check_gamma(gamma)
     state = Tensor(np.zeros((d, d)))
     rows = []
     for n in range(length):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -106,7 +107,7 @@ def _resolve_config(args: argparse.Namespace) -> blocks.ModelConfig:
     path = Path(args.config)
     try:
         return blocks.ModelConfig.from_json(path.read_text())
-    except (OSError, ValueError) as exc:  # unreadable, not JSON, or a ConfigurationError
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not JSON, too deep, or invalid
         raise ConfigurationError(f"model config {path}: {exc}") from exc
 
 
@@ -260,12 +261,21 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) < 0:
             raise MasaKitError(f"--seed must be non-negative, got {args.seed}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows up here, not at interpreter exit
+        return code
     except MasaKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
         print("error: out of memory; reduce the grid size", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the output still buffered goes to the null device, so the final flush fails no more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed", file=sys.stderr)
         return 1
 
 

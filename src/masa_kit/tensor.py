@@ -1,11 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Just large enough for spatial-decay attention experiments: batched matmul,
-numerically stable softmax, fused decayed-softmax attention and normalization
-ops, elementwise arithmetic, reductions, shape moves, and 2D convolutions,
-each with a hand-written adjoint. Feature maps are channels-last, [H, W, C],
-so an image and its [H*W, C] token grid are one reshape apart. Every operation
-that returns successfully yields finite values; NaN or Inf raises ``UsageError``.
+numerically stable softmax and cross-entropy, fused decayed-softmax attention
+and normalization ops, elementwise arithmetic, reductions, shape moves, and 2D
+convolutions, each with a hand-written adjoint. Feature maps are channels-last,
+[H, W, C], so an image and its [H*W, C] token grid are one reshape apart. Every
+operation that returns successfully yields finite values; NaN or Inf raises
+``UsageError``.
 
 An op's result is a node holding one edge per tracked parent: the parent and the
 vector-Jacobian product (vjp) giving that parent's gradient. ``backward`` alone
@@ -108,27 +109,17 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar; a scalar addend becomes a constant tensor.
+    # Arithmetic sugar; a scalar operand becomes a constant tensor, and negation is an exact * -1.0.
     def __add__(self, other):
         return add(self, other)
 
     __radd__ = __add__
 
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return hadamard(self, other)
-        return mul_scalar(self, float(other))
-
-    __rmul__ = __mul__
-
     def __sub__(self, other):
-        return add(self, neg(other))
+        return add(self, mul_scalar(other, -1.0))
 
     def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+        return mul_scalar(self, -1.0)
 
 
 def _ensure(value) -> Tensor:
@@ -239,11 +230,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_shape(a, b, "add")
     return _result(a.data + b.data, (a, lambda g: _unbroadcast(g, a.shape)),
                    (b, lambda g: _unbroadcast(g, b.shape)))
-
-
-def neg(a: Tensor) -> Tensor:
-    a = _ensure(a)
-    return _result(-a.data, (a, lambda g: -g))
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
@@ -405,14 +391,21 @@ def softmax_last(a: Tensor) -> Tensor:
     return _result(s, (a, lambda g: s * (g - (g * s).sum(axis=-1, keepdims=True))))
 
 
-def log_softmax_last(a: Tensor) -> Tensor:
-    a = _ensure(a)
-    if a.ndim < 1 or a.shape[-1] < 1:
-        raise DimensionError(f"log_softmax_last needs a non-empty last axis, got shape {a.shape}")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    logsum = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    y = shifted - logsum
-    return _result(y, (a, lambda g: g - np.exp(y) * g.sum(axis=-1, keepdims=True)))
+def cross_entropy(logits: Tensor, label: int) -> Tensor:
+    """-log softmax(logits)[label] for 1D ``logits``; the adjoint is softmax minus one-hot."""
+    logits = _ensure(logits)
+    if logits.ndim != 1:
+        raise UsageError(f"cross_entropy expects a 1D logits vector, got shape {logits.shape}")
+    if not (0 <= label < logits.shape[0]):
+        raise UsageError(f"label {label} is out of range for {logits.shape[0]} classes")
+    shifted = logits.data - logits.data.max()
+    y = shifted - np.log(np.exp(shifted).sum())
+
+    def vjp(g: np.ndarray) -> np.ndarray:
+        out = np.exp(y) * g
+        out[label] -= g
+        return out
+    return _result(-y[label], (logits, vjp))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Desk-scale training and gradient-verification harness.
 
 Provides a deterministic synthetic dataset whose classes are separable by
-construction, cross-entropy loss, a decoupled-weight-decay optimizer with a
-cosine learning-rate schedule, a small training loop, and the central
-finite-difference gradient checker the test suite relies on.
+construction, the cross-entropy loss (one ``tensor`` op, re-exported here), a
+decoupled-weight-decay optimizer with a cosine learning-rate schedule, a small
+training loop, and the central finite-difference gradient checker the test
+suite relies on.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .blocks import Model, ModelConfig, build_backbone, forward_classify
 from .errors import ConfigurationError, TrainingError, UsageError
-from .tensor import Tensor, backward, log_softmax_last, mul_scalar, neg, slice_axis, sum_all
+from .tensor import Tensor, backward, cross_entropy, mul_scalar
 
 
 @dataclass(frozen=True)
@@ -67,16 +68,6 @@ def synth_dataset(seed: int, n: int, resolution: int, num_classes: int) -> list[
         image = base[None, :, :] + rng.normal(0.0, NOISE_STD, size=(3, resolution, resolution))
         samples.append(SynthSample(image=Tensor(image), label=label))
     return samples
-
-
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Negative log-probability of ``label`` under softmax(logits); differentiable."""
-    if logits.ndim != 1:
-        raise UsageError(f"cross_entropy expects a 1D logits vector, got shape {logits.shape}")
-    if not (0 <= label < logits.shape[0]):
-        raise UsageError(f"label {label} is out of range for {logits.shape[0]} classes")
-    log_probs = log_softmax_last(logits)
-    return neg(sum_all(slice_axis(log_probs, 0, label, label + 1)))
 
 
 ADAM_BETAS = (0.9, 0.999)

@@ -130,7 +130,7 @@ class TestRetention:
     def test_degenerate_gamma_rejected(self):
         rng = np.random.default_rng(3)
         q = rand(rng, 2, 2)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"decay rate must lie strictly inside \(0, 1\), got 1.0"):
             retention_recurrent(q, q, q, 1.0)
 
 
@@ -433,6 +433,16 @@ class TestMasaLayer:
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ConfigurationError):
             MaSAConfig(dim=5, num_heads=2, decomposed=False, decay=gamma_schedule(2, 8, 2))
+
+    @pytest.mark.parametrize("decay,fragment", [
+        ((1.5, 0.5), r"decay rate of head 0 must lie strictly inside \(0, 1\), got 1.5"),
+        ((0.5, float("nan")), "decay rate of head 1 .* got nan"),
+        ([0.5, 0.6], r"decay must be a tuple .* got \[0.5, 0.6\]"),
+        (0.5, "decay must be a tuple .* got 0.5"),
+    ], ids=["above-one", "nan", "list", "bare-float"])
+    def test_bad_decay_rejected_when_configured(self, decay, fragment):
+        with pytest.raises(ConfigurationError, match=fragment):
+            MaSAConfig(dim=4, num_heads=2, decomposed=False, decay=decay)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -211,6 +212,7 @@ _CONFIG = ["model-stats", "--config", "{dir}/cfg.json"]
                  id="config-zero-heads"),
     pytest.param(_CONFIG, _tiny_config_text(lambda d: d["stages"][1].update(channels=-32, ffn_ratio=-2)),
                  "channels", id="config-negative-channels"),
+    pytest.param(_CONFIG, "[" * 100000 + "]" * 100000, "cfg.json", id="config-deeply-nested"),
     pytest.param(_CONFIG, _tiny_config_text(lambda d: d.update(input_resolution=36)), "32",
                  id="config-resolution-36"),
     pytest.param(_CONFIG, _tiny_config_text(lambda d: d["stages"][0].update(decomposed="false")),
@@ -264,6 +266,18 @@ def test_bad_input_gives_one_error_line_and_exit_1(tmp_path, src_env, argv, conf
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert named in lines[0]
+
+
+def test_closed_stdout_gives_one_error_line_and_exit_1(src_env):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "masa_kit", "model-stats", "--preset", "tiny"],
+                              env=src_env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: standard output was closed\n"
 
 
 def _refuse(*args, **kwargs):

@@ -181,6 +181,16 @@ class TestTrainLoop:
         with pytest.raises(TrainingError, match=r"parameter stem\.convs\.0\.weight at step 1"):
             train_step(state, batch_size=2)
 
+    def test_overflow_in_the_forward_raises_training_error_with_step(self):
+        state = init_train_state(preset_config("tiny"),
+                                 DataConfig(seed=0, n=2, resolution=32, num_classes=2), steps=1)
+        w1 = state.model.stages[0][0].ffn_w1
+        w1.data = np.full_like(w1.data, 1e308)  # finite, so only the forward's values overflow
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingError, match="training diverged at step 0: "):
+            train_step(state, batch_size=1)
+        assert state.step == 0
+
     @pytest.mark.parametrize("data_seed,model_seed", [(-1, 0), (0, -1)], ids=["data", "model"])
     def test_negative_seed_is_a_configuration_error_naming_the_seed(self, data_seed, model_seed):
         with pytest.raises(ConfigurationError, match=r"seed .*-1"):
