@@ -11,6 +11,7 @@ constant (non-tracked) tensors.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,11 @@ class GridShape:
     width: int
 
     def __post_init__(self) -> None:
-        if self.height < 1 or self.width < 1:
-            raise ConfigurationError(f"grid sides must be positive, got {self.height}x{self.width}")
+        for name in ("height", "width"):
+            side = getattr(self, name)
+            if isinstance(side, bool) or not isinstance(side, (int, np.integer)) or side < 1:
+                raise ConfigurationError(f"grid {name} must be an integer of at least 1, got {side!r}")
+            object.__setattr__(self, name, int(side))
 
     @property
     def size(self) -> int:
@@ -58,6 +62,8 @@ def gamma_schedule(lower: float, upper: float, num_heads: int) -> tuple[float, .
 
 
 def _check_gamma(gamma: float, source: str = "") -> float:
+    if not isinstance(gamma, numbers.Real):
+        raise ConfigurationError(f"decay rate{source} must be a real number, got {gamma!r}")
     gamma = float(gamma)
     if not (0.0 < gamma < 1.0):
         raise ConfigurationError(f"decay rate{source} must lie strictly inside (0, 1), got {gamma}")

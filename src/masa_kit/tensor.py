@@ -252,8 +252,15 @@ def gelu(a: Tensor) -> Tensor:
     cdf = 0.5 * (1.0 + erf(a.data / _SQRT2))
 
     def vjp(g: np.ndarray) -> np.ndarray:
-        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-        return g * (cdf + a.data * pdf)
+        # g * (cdf + x * pdf), bit for bit, in one fresh buffer
+        out = a.data * a.data
+        out *= -0.5
+        np.exp(out, out=out)
+        out *= _INV_SQRT_2PI
+        out *= a.data
+        out += cdf
+        out *= g
+        return out
     return _result(a.data * cdf, (a, vjp))
 
 
@@ -535,6 +542,11 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
 # Convolutions
 
 
+def _pad_hw(a: np.ndarray, p: int) -> np.ndarray:
+    """Zero-pad the two leading (spatial) axes of an [H, W, C] array by ``p`` on each side."""
+    return np.pad(a, ((p, p), (p, p), (0, 0)))
+
+
 def _depthwise_rows(xp: np.ndarray, kt: np.ndarray) -> np.ndarray:
     """Per-channel cross-correlation of a padded [Hp, Wp, C] map with ``kt`` [k, k, C].
 
@@ -558,7 +570,8 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     ``x`` is [H, W, C], ``kernel`` is [k, k, C] with odd k. The forward pass and
     the input adjoint are k row contractions each (``_depthwise_rows``), the
     adjoint over the padded cotangent with the kernel flipped in both axes; the
-    kernel adjoint is k einsums of the cotangent against the input's windows.
+    kernel adjoint is k einsums of the cotangent against the windows of the input,
+    which it pads again rather than keep the padded copy on the tape.
     """
     x, kernel = _ensure(x), _ensure(kernel)
     if x.ndim != 3 or kernel.ndim != 3:
@@ -572,16 +585,15 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     if ck != c:
         raise DimensionError(f"channel mismatch: input has {c} channels, kernel has {ck}")
     pad = kh // 2
-    xp = np.pad(x.data, ((pad, pad), (pad, pad), (0, 0)))
-    data = _depthwise_rows(xp, np.ascontiguousarray(kernel.data))
+    data = _depthwise_rows(_pad_hw(x.data, pad), np.ascontiguousarray(kernel.data))
     _record_macs(c * h * w * kh * kw)
 
     def vjp_x(g: np.ndarray) -> np.ndarray:
         flipped = np.ascontiguousarray(kernel.data[::-1, ::-1])
-        return _depthwise_rows(np.pad(g, ((pad, pad), (pad, pad), (0, 0))), flipped)
+        return _depthwise_rows(_pad_hw(g, pad), flipped)
 
     def vjp_kernel(g: np.ndarray) -> np.ndarray:
-        win = sliding_window_view(xp, kw, axis=1)
+        win = sliding_window_view(_pad_hw(x.data, pad), kw, axis=1)
         kg = np.empty_like(kernel.data)
         for i in range(kh):
             kg[i] = np.einsum("hwc,hwcj->jc", g, win[i:i + h])
@@ -601,6 +613,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -
     Lowered to one matmul over an im2col matrix [Ho*Wo, k*k*Cin] whose columns run in
     (i, j, cin) order, so the gather and the input adjoint's scatter move whole
     contiguous channel vectors; the weight, viewed as [k*k*Cin, Cout], is the other operand.
+    The tape keeps neither the im2col matrix nor the padded input: the weight adjoint
+    rebuilds the matrix from the input.
     """
     x, weight, bias = _ensure(x), _ensure(weight), _ensure(bias)
     if x.ndim != 3 or weight.ndim != 4:
@@ -618,15 +632,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -
     wo = (w + 2 * p - k) // s + 1
     if ho < 1 or wo < 1:
         raise DimensionError(f"conv2d output would be empty for input {x.shape}, k={k}, stride={s}, padding={p}")
-    xp = np.pad(x.data, ((p, p), (p, p), (0, 0)))
-    windows = sliding_window_view(xp, (k, k), axis=(0, 1))[::s, ::s]  # [Ho, Wo, Cin, k, k]
-    cols = windows.transpose(0, 1, 3, 4, 2).reshape(ho * wo, k * k * cin)
-    data = (cols @ weight.data.reshape(-1, cout)).reshape(ho, wo, cout) + bias.data
+
+    def im2col() -> np.ndarray:
+        windows = sliding_window_view(_pad_hw(x.data, p), (k, k), axis=(0, 1))[::s, ::s]  # [Ho, Wo, Cin, k, k]
+        return windows.transpose(0, 1, 3, 4, 2).reshape(ho * wo, k * k * cin)
+    data = (im2col() @ weight.data.reshape(-1, cout)).reshape(ho, wo, cout) + bias.data
     _record_macs(cout * ho * wo * cin * k * k)
 
     def vjp_x(g: np.ndarray) -> np.ndarray:
         dcols = (g.reshape(ho * wo, cout) @ weight.data.reshape(-1, cout).T).reshape(ho, wo, k, k, cin)
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros((h + 2 * p, w + 2 * p, cin))
         for i in range(k):
             for j in range(k):
                 gxp[i:i + s * ho:s, j:j + s * wo:s] += dcols[:, :, i, j]
@@ -634,7 +649,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -
 
     def vjp_weight(g: np.ndarray) -> np.ndarray:
         # (g^T cols)^T runs faster than cols^T g on the tall im2col matrices of the stem
-        return (g.reshape(ho * wo, cout).T @ cols).T.reshape(weight.shape)
+        return (g.reshape(ho * wo, cout).T @ im2col()).T.reshape(weight.shape)
     return _result(data, (weight, vjp_weight), (x, vjp_x), (bias, lambda g: g.sum(axis=(0, 1))))
 
 

@@ -439,7 +439,9 @@ class TestMasaLayer:
         ((0.5, float("nan")), "decay rate of head 1 .* got nan"),
         ([0.5, 0.6], r"decay must be a tuple .* got \[0.5, 0.6\]"),
         (0.5, "decay must be a tuple .* got 0.5"),
-    ], ids=["above-one", "nan", "list", "bare-float"])
+        (("a", 0.5), "decay rate of head 0 must be a real number, got 'a'$"),
+        ((None, 0.5), "decay rate of head 0 must be a real number, got None$"),
+    ], ids=["above-one", "nan", "list", "bare-float", "string-rate", "none-rate"])
     def test_bad_decay_rejected_when_configured(self, decay, fragment):
         with pytest.raises(ConfigurationError, match=fragment):
             MaSAConfig(dim=4, num_heads=2, decomposed=False, decay=decay)

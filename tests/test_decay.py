@@ -181,3 +181,17 @@ class TestAxialPair:
 def test_grid_shape_rejects_empty_sides():
     with pytest.raises(ConfigurationError):
         GridShape(0, 4)
+
+
+@pytest.mark.parametrize("height,width,bad", [(2.5, 2, "height .* got 2.5"), ("a", 2, "height .* got 'a'"),
+                                              (None, 2, "height .* got None"), (True, 2, "height .* got True"),
+                                              (2, 0, "width .* got 0"), (2, 2.0, "width .* got 2.0")])
+def test_grid_shape_rejects_sides_that_are_not_counts(height, width, bad):
+    with pytest.raises(ConfigurationError, match=f"grid {bad}$"):
+        GridShape(height, width)
+
+
+def test_grid_shape_takes_numpy_integers_as_ints():
+    grid = GridShape(np.int64(3), np.int32(2))
+    assert (grid.height, grid.width, grid.size) == (3, 2, 6)
+    assert type(grid.height) is int and type(grid.width) is int

@@ -342,6 +342,42 @@ class TestConv2d:
         assert out.requires_grad
         assert held <= out.data.nbytes + cols + padded + 64 * 2 ** 10
 
+    @pytest.mark.parametrize("op,x_shape,w_shape,stride", [
+        ("conv2d", (112, 112, 32), (32, 32, 3, 3), 1),    # a stem convolution at 112^2
+        ("conv2d", (14, 14, 256), (512, 256, 3, 3), 2),   # the last downsample
+        ("depthwise", (56, 56, 64), (64, 3, 3), None),    # a stage-1 CPE
+    ], ids=["stem", "last-downsample", "depthwise-56"])
+    def test_forward_retains_only_its_output(self, op, x_shape, w_shape, stride):
+        # the adjoints rebuild the im2col matrix and the padded input from x, so neither stays on the tape
+        rng = np.random.default_rng(46)
+        x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+        if op == "conv2d":
+            w = Tensor(hwio(rng.standard_normal(w_shape)), requires_grad=True)
+            b = Tensor(rng.standard_normal(w_shape[0]), requires_grad=True)
+            run = lambda: conv2d(x, w, b, stride=stride, padding=1)  # noqa: E731
+        else:
+            kernel = Tensor(hwc(rng.standard_normal(w_shape)), requires_grad=True)
+            run = lambda: depthwise_conv2d(x, kernel)  # noqa: E731
+        tracemalloc.start()
+        try:
+            out = run()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held <= out.data.nbytes + 64 * 2 ** 10
+
+    def test_mac_counter_counts_only_the_forward(self):
+        # the weight adjoint rebuilds the im2col matrix but records no MACs of its own
+        rng = np.random.default_rng(47)
+        tracked = [Tensor(a, requires_grad=True) for a in (rng.standard_normal((9, 6, 3)),
+                                                           rng.standard_normal((3, 3, 3, 4)),
+                                                           rng.standard_normal(4))]
+        with count_macs() as counter:
+            backward(sum_all(conv2d(*tracked, stride=2, padding=1)))
+        assert all(t.grad is not None for t in tracked)
+        assert counter.total == 4 * 5 * 3 * 3 * 3 * 3
+
     @pytest.mark.parametrize("stride,padding,bad", [(0, 1, "0"), (-1, 1, "-1"), (2.5, 1, "2.5"),
                                                     (2.0, 1, "2.0"), (1, -1, "-1"), (1, 0.5, "0.5")])
     def test_stride_and_padding_that_are_not_counts_rejected(self, stride, padding, bad):
@@ -441,6 +477,26 @@ class TestBackward:
         a.zero_grad()
         backward(sum_all(mk.mul_scalar(h, 3)))
         np.testing.assert_array_equal(a.grad, [6.0])
+
+    def test_conv_and_gelu_adjoints_keep_no_used_up_state(self):
+        # the adjoints rebuild what they need from their inputs, so a second loss through
+        # the same conv2d, gelu and depthwise_conv2d nodes gets the same gradients bit for bit
+        rng = np.random.default_rng(48)
+        x = Tensor(rng.standard_normal((7, 6, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 3, 3, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        kernel = Tensor(rng.standard_normal((3, 3, 4)), requires_grad=True)
+        out = depthwise_conv2d(gelu(conv2d(x, w, b, stride=1, padding=1)), kernel)
+        cot = Tensor(rng.standard_normal(out.shape))
+        leaves = (x, w, b, kernel)
+        grads = []
+        for _ in range(2):
+            backward(sum_all(hadamard(out, cot)))
+            grads.append([t.grad for t in leaves])
+            for t in leaves:
+                t.zero_grad()
+        for first, second in zip(*grads):
+            np.testing.assert_array_equal(first, second)
 
     def test_no_vjp_runs_for_an_untracked_parent(self):
         def refuse(g):
