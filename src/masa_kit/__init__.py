@@ -19,9 +19,9 @@ from .decay import (GridShape, decay_axial_pair, decay_bidirectional_1d, decay_c
 from .errors import (ConfigurationError, DimensionError, MasaKitError, TrainingError,
                      UsageError)
 from .tensor import (GradTape, MacCounter, Tensor, backward, concat, conv2d, count_macs,
-                     decayed_attention, depthwise_conv2d, gelu, hadamard, matmul, mean_axes,
-                     mul_scalar, normalize, reshape, slice_axis, softmax_last, sum_all,
-                     tape_for, transpose, trunc_normal)
+                     decayed_attention, depthwise_conv2d, gelu, hadamard, linear, matmul,
+                     mean_axes, mul_scalar, normalize, reshape, slice_axis, softmax_last,
+                     sum_all, tape_for, transpose, trunc_normal)
 from .train import (DataConfig, OptimState, SynthSample, TrainMetrics, adamw_step,
                     cross_entropy, finite_diff_gradcheck, init_optim, synth_dataset,
                     train_loop)

@@ -24,7 +24,7 @@ from .attention import (LCE_KERNEL, MaSAConfig, MaSAParams, attention_score_appl
                         init_masa_params, lce, masa_layer_forward, token_image)
 from .decay import GridShape, gamma_schedule
 from .errors import ConfigurationError, DimensionError
-from .tensor import (Tensor, add, conv2d, gelu, init_kernel, init_weight, matmul, mean_axes,
+from .tensor import (Tensor, add, conv2d, gelu, init_kernel, init_weight, linear, mean_axes,
                      normalize, reshape, transpose)
 
 STEM_STRIDES = (2, 1, 2, 1, 1)
@@ -288,8 +288,7 @@ def cpe(x: Tensor, grid: GridShape, kernel: Tensor) -> Tensor:
 
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Two-layer MLP with GELU between the projections."""
-    hidden = gelu(add(matmul(x, w1), b1))
-    return add(matmul(hidden, w2), b2)
+    return linear(gelu(linear(x, w1, b1)), w2, b2)
 
 
 def rmt_block(x: Tensor, grid: GridShape, params: BlockParams, config: MaSAConfig) -> Tensor:
@@ -383,8 +382,7 @@ def forward_classify(model: Model, image: Tensor) -> Tensor:
         if s < 3:
             tokens, grid = downsample(tokens, grid, model.downsamples[s])
     pooled = mean_axes(tokens, (0,))
-    logits = add(matmul(reshape(pooled, (1, pooled.shape[0])), model.head_weight),
-                 model.head_bias)
+    logits = linear(reshape(pooled, (1, pooled.shape[0])), model.head_weight, model.head_bias)
     return reshape(logits, (model.config.num_classes,))
 
 

@@ -3,9 +3,10 @@ and the training demo.
 
 Grammar: ``masa-kit <dump-decay|model-stats|scaling|train-demo> [flags]``.
 Every subcommand exits 0 on success and 1 with a one-line ``error:`` diagnostic
-on failure, usage errors included. Set ``MASA_KIT_THREADS`` to pin the numeric
-worker count; the package applies it before numpy loads and the value lands
-in the benchmark CSV's ``workers`` column.
+on failure, usage errors included. Set ``MASA_KIT_THREADS`` to a positive
+integer to pin the numeric worker count; the package applies it before numpy
+loads, the value lands in the benchmark CSV's ``workers`` column, and any
+other value is refused with the same ``error:`` line.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attention, blocks, decay, train
-from ._threads import WORKERS as _WORKERS
+from . import _threads, attention, blocks, decay, train
 from .errors import ConfigurationError, MasaKitError
 from .tensor import Tensor, count_macs
 
@@ -179,7 +179,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
                     f"for mode={mode} side={side}")
             record = BenchRecord(mode=mode, height=side, width=side,
                                  head_dim=args.head_dim, macs=analytic,
-                                 wall_ns=int(np.median(times)), workers=_WORKERS)
+                                 wall_ns=int(np.median(times)), workers=_threads.workers())
             rows.append(record.row())
             print(f"{mode:<10} side={side:<4} macs={analytic:<14} median={record.wall_ns} ns")
     _write_csv(Path(args.out), ["mode", "height", "width", "head_dim", "macs", "wall_ns", "workers"],
@@ -258,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
+        _threads.workers()  # a bad MASA_KIT_THREADS is refused before any work
         args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) < 0:
             raise MasaKitError(f"--seed must be non-negative, got {args.seed}")

@@ -14,7 +14,7 @@ sums gradients and frees them; after it, only leaves keep a ``grad``.
 
 A ``Tensor`` is immutable after construction except for gradient population,
 and a gradient tape must stay on the thread that built it. Multiply-accumulate
-counts for matmul, attention and convolution ops can be captured with
+counts for matmul, linear, attention and convolution ops can be captured with
 ``count_macs``.
 """
 
@@ -53,7 +53,7 @@ _MAC_STACK: list[MacCounter] = []
 
 @contextmanager
 def count_macs() -> Iterator[MacCounter]:
-    """Count MACs executed by matmul/attention/conv ops inside the ``with`` block."""
+    """Count MACs executed by matmul/linear/attention/conv ops inside the ``with`` block."""
     counter = MacCounter()
     _MAC_STACK.append(counter)
     try:
@@ -132,6 +132,23 @@ def _result(data: np.ndarray, *edges: tuple[Tensor, Callable[[np.ndarray], np.nd
     out = Tensor(data, requires_grad=bool(edges))
     out._edges = edges
     return out
+
+
+def _one_pass(adjoint: Callable[[np.ndarray], dict[int, np.ndarray]]
+              ) -> Callable[[int, np.ndarray], np.ndarray]:
+    """``take(i, g)``: parent i's gradient from one ``adjoint(g)`` pass shared by an op's edges.
+
+    ``adjoint`` maps the cotangent to {parent index: gradient} for the tracked parents,
+    whose gradients share a rebuilt array. The first edge to run makes the pass, and
+    each edge takes its own gradient from it.
+    """
+    pending: dict[int, np.ndarray] = {}
+
+    def take(i: int, g: np.ndarray) -> np.ndarray:
+        if not pending:
+            pending.update(adjoint(g))
+        return pending.pop(i)
+    return take
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -286,6 +303,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                    (b, lambda g: _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)))
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node: ``x`` is [N, Cin], ``w`` [Cin, Cout] and ``b`` [Cout].
+
+    The bias is added in place into the matmul output, so the product alone is never
+    a node. The MACs counted are those of the matmul, in the forward pass only.
+    """
+    x, w, b = _ensure(x), _ensure(w), _ensure(b)
+    if x.ndim != 2 or w.ndim != 2:
+        raise DimensionError(f"linear needs x [N, Cin] and w [Cin, Cout], got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise DimensionError(f"linear: inner dimensions disagree for {x.shape} and {w.shape}")
+    if b.shape != w.shape[1:]:
+        raise DimensionError(f"linear bias must have shape ({w.shape[1]},), got {b.shape}")
+    data = x.data @ w.data
+    data += b.data
+    _record_macs(x.shape[0] * x.shape[1] * w.shape[1])
+    return _result(data, (x, lambda g: g @ w.data.T), (w, lambda g: x.data.T @ g),
+                   (b, lambda g: _unbroadcast(g, b.shape)))
+
+
 def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     a = _ensure(a)
     perm = _axes(a, axes, "transpose") if axes is not None else tuple(reversed(range(a.ndim)))
@@ -308,6 +345,10 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise DimensionError("concat needs at least one tensor")
     axis = _axes(parts[0], (axis,), "concat")[0]
+    shapes = [p.shape for p in parts]
+    if any(len(s) != len(shapes[0]) or s[:axis] + s[axis + 1:] != shapes[0][:axis] + shapes[0][axis + 1:]
+           for s in shapes):
+        raise DimensionError(f"concat: shapes {shapes} disagree off axis {axis}")
     data = np.concatenate([p.data for p in parts], axis=axis)
     offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
 
@@ -342,11 +383,19 @@ def sum_all(a: Tensor) -> Tensor:
     return _result(a.data.sum(), (a, lambda g: np.broadcast_to(g, a.shape).copy()))
 
 
+def _reciprocal_count(a: Tensor, axes: tuple[int, ...], op: str) -> float:
+    """1 / the number of entries a mean over ``axes`` of ``a`` averages; DimensionError if none."""
+    count = int(np.prod([a.shape[ax] for ax in axes], dtype=np.int64))
+    if count == 0:
+        raise DimensionError(f"{op}: axes {axes} of shape {a.shape} hold no entries to average")
+    return 1.0 / count
+
+
 def mean_axes(a: Tensor, axes: tuple[int, ...], keepdims: bool = False) -> Tensor:
     """Mean over ``axes``, computed as the sum times 1 / count."""
     a = _ensure(a)
     axes = _axes(a, axes, "mean_axes")
-    scale = 1.0 / int(np.prod([a.shape[ax] for ax in axes], dtype=np.int64))
+    scale = _reciprocal_count(a, axes, "mean_axes")
 
     def vjp(g: np.ndarray) -> np.ndarray:
         g = g * scale
@@ -364,26 +413,46 @@ def normalize(x: Tensor, axes: tuple[int, ...], gain: Tensor, bias: Tensor) -> T
 
     ``gain`` and ``bias`` broadcast to the shape of ``x``. The adjoint is the layer-norm
     one (Ba et al., 2016): dx = inv * (gx - mean(gx) - x_hat * mean(gx * x_hat)), gx = g * gain.
+    The tape keeps only ``inv``: one adjoint pass serves the ``x`` and ``gain`` edges and
+    rebuilds x_hat from ``x`` with the forward's own expressions, so bit for bit.
     """
     x, gain, bias = _ensure(x), _ensure(gain), _ensure(bias)
     if not _broadcasts_to(x.shape, gain.shape, bias.shape):
         raise DimensionError(f"normalize: gain {gain.shape} and bias {bias.shape} "
                              f"do not broadcast to {x.shape}")
     axes = _axes(x, axes, "normalize")
-    scale = 1.0 / int(np.prod([x.shape[ax] for ax in axes], dtype=np.int64))
+    scale = _reciprocal_count(x, axes, "normalize")
 
     def mean(t: np.ndarray) -> np.ndarray:
         return t.sum(axis=axes, keepdims=True) * scale
 
-    centered = x.data - mean(x.data)
-    inv = (mean(centered * centered) + NORM_EPS) ** -0.5
-    x_hat = centered * inv
+    def centered() -> np.ndarray:
+        return x.data - mean(x.data)
 
-    def vjp_x(g: np.ndarray) -> np.ndarray:
-        gx = g * gain.data
-        return inv * (gx - mean(gx) - x_hat * mean(gx * x_hat))
-    return _result(x_hat * gain.data + bias.data, (x, vjp_x),
-                   (gain, lambda g: _unbroadcast(g * x_hat, gain.shape)),
+    # x_hat * gain + bias, bit for bit, in the one buffer of x_hat, which the tape does not keep
+    data = centered()
+    inv = (mean(data * data) + NORM_EPS) ** -0.5
+    data *= inv
+    data *= gain.data
+    data += bias.data
+
+    def adjoint(g: np.ndarray) -> dict[int, np.ndarray]:
+        x_hat = centered()
+        x_hat *= inv
+        grads = {}
+        if gain.requires_grad:
+            grads[1] = _unbroadcast(g * x_hat, gain.shape)
+        if x.requires_grad:
+            # inv * (gx - mean(gx) - x_hat * mean(gx * x_hat)), bit for bit, in the buffers of gx and x_hat
+            gx = g * gain.data
+            x_hat *= mean(gx * x_hat)
+            gx -= mean(gx)
+            gx -= x_hat
+            gx *= inv
+            grads[0] = gx
+        return grads
+    take = _one_pass(adjoint)  # dx and dgain share the rebuilt x_hat
+    return _result(data, (x, lambda g: take(0, g)), (gain, lambda g: take(1, g)),
                    (bias, lambda g: _unbroadcast(g, bias.shape)))
 
 
@@ -403,6 +472,8 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
     logits = _ensure(logits)
     if logits.ndim != 1:
         raise UsageError(f"cross_entropy expects a 1D logits vector, got shape {logits.shape}")
+    if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
+        raise UsageError(f"cross_entropy label must be an integer class index, got {label!r}")
     if not (0 <= label < logits.shape[0]):
         raise UsageError(f"label {label} is out of range for {logits.shape[0]} classes")
     shifted = logits.data - logits.data.max()
@@ -525,17 +596,8 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
                 grad *= scale
         return {i: grad for i, grad in enumerate((dq, dk, dv)) if grad is not None}
 
-    # dq, dk and dv share each block's rebuilt weights, so the first edge to run
-    # makes one adjoint pass for every tracked parent and each edge takes its own
-    pending: dict[int, np.ndarray] = {}
-
-    def edge(i: int) -> Callable[[np.ndarray], np.ndarray]:
-        def vjp(g: np.ndarray) -> np.ndarray:
-            if not pending:
-                pending.update(adjoint(g))
-            return pending.pop(i)
-        return vjp
-    return _result(data, (q, edge(0)), (k, edge(1)), (v, edge(2)))
+    take = _one_pass(adjoint)  # dq, dk and dv share each block's rebuilt weights
+    return _result(data, (q, lambda g: take(0, g)), (k, lambda g: take(1, g)), (v, lambda g: take(2, g)))
 
 
 # ---------------------------------------------------------------------------

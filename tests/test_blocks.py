@@ -1,6 +1,7 @@
 """Backbone assembly: stem, blocks, downsampling, accounting, presets."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -420,6 +421,24 @@ class TestTapeSize:
                           bias=Tensor(np.zeros(4), requires_grad=True))
         assert len(mk.tape_for(mk.sum_all(norm_fn(x, norm))).nodes) == 5
 
+    @pytest.mark.parametrize("norm_fn,shape,stats", [(layer_norm, (3136, 64), 3136),
+                                                     (channel_norm, (112, 112, 32), 32)],
+                             ids=["layer_norm-stage1", "channel_norm-stem"])
+    def test_a_norm_holds_only_its_output_and_inv(self, norm_fn, shape, stats):
+        # the adjoint rebuilds x_hat from x, so only inv, one value per normalized slice, stays
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        norm = NormParams(gain=Tensor(rng.uniform(0.5, 1.5, shape[-1]), requires_grad=True),
+                          bias=Tensor(rng.standard_normal(shape[-1]), requires_grad=True))
+        tracemalloc.start()
+        try:
+            out = norm_fn(x, norm)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held <= out.data.nbytes + 8 * stats + 64 * 2 ** 10
+
     def test_tiny_forward_and_cross_entropy(self):
         model = build_backbone(preset_config("tiny"), seed=0)
         sample = synth_dataset(0, 1, 32, 2)[0]
@@ -427,8 +446,8 @@ class TestTapeSize:
         nodes = mk.tape_for(loss).nodes
         # each of the three decomposed layers holds 18 attention nodes: the head split and merge
         # (8), three token images, two masa_full passes, four grid swaps and the final reshape;
-        # the loss is one cross_entropy node
-        assert len(nodes) == 261
+        # each FFN projection and the head are one linear node; the loss is one cross_entropy node
+        assert len(nodes) == 252
         reshapes = [n for n in nodes if n._edges and n._edges[0][1].__qualname__.startswith("reshape.")]
         assert reshapes and all(np.shares_memory(n.data, n._edges[0][0].data) for n in reshapes)
         mk.backward(loss)  # after it, only the leaves hold a gradient

@@ -268,6 +268,26 @@ def test_bad_input_gives_one_error_line_and_exit_1(tmp_path, src_env, argv, conf
     assert named in lines[0]
 
 
+_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_thread_count_gives_one_error_line_and_is_not_forwarded(src_env, value):
+    # only small values: a large valid count would start that many BLAS threads
+    env = {k: v for k, v in src_env.items() if k not in _BLAS_VARS}
+    env["MASA_KIT_THREADS"] = value
+    proc = subprocess.run([sys.executable, "-m", "masa_kit", "model-stats", "--preset", "tiny"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: MASA_KIT_THREADS must be a positive integer, got '{value}'\n"
+    assert proc.stdout == ""
+    proc = subprocess.run([sys.executable, "-c", "import os, masa_kit; "
+                           f"print([os.environ.get(v) for v in {_BLAS_VARS!r}])"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[None, None, None, None]\n"
+
+
 def test_closed_stdout_gives_one_error_line_and_exit_1(src_env):
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write to the pipe now fails with EPIPE

@@ -6,7 +6,8 @@ import pytest
 from masa_kit import (ConfigurationError, DimensionError, GridShape, MaSAConfig, Tensor, UsageError,
                       adamw_step, attention_score_apply_macs, build_backbone, concat, conv2d,
                       conv_stem, depthwise_conv2d, gamma_schedule, init_masa_params, init_optim,
-                      masa_layer_forward, matmul, preset_config, reshape, slice_axis)
+                      cross_entropy, masa_layer_forward, matmul, mean_axes, normalize, preset_config,
+                      reshape, slice_axis)
 from masa_kit.attention import token_image
 
 
@@ -30,6 +31,18 @@ REFUSALS = {
                      DimensionError, "batch dimensions disagree"),
     "reshape-size": (lambda: reshape(zeros(6), (4,)), DimensionError, r"cannot reshape \(6,\) into \(4,\)"),
     "concat-empty": (lambda: concat([]), DimensionError, "concat needs at least one tensor"),
+    "concat-ndim": (lambda: concat([zeros(2, 3), zeros(2, 3, 1)]), DimensionError,
+                    r"concat: shapes \[\(2, 3\), \(2, 3, 1\)\] disagree off axis 0"),
+    "concat-off-axis": (lambda: concat([zeros(2, 3), zeros(2, 4)], axis=0), DimensionError,
+                        r"concat: shapes \[\(2, 3\), \(2, 4\)\] disagree off axis 0"),
+    "cross-entropy-bool-label": (lambda: cross_entropy(zeros(3), True), UsageError,
+                                 "label must be an integer class index, got True"),
+    "cross-entropy-float-label": (lambda: cross_entropy(zeros(3), 1.0), UsageError,
+                                  "label must be an integer class index, got 1.0"),
+    "mean-empty-axis": (lambda: mean_axes(zeros(0, 3), (0,)), DimensionError,
+                        r"mean_axes: axes \(0,\) of shape \(0, 3\) hold no entries"),
+    "norm-empty-axis": (lambda: normalize(zeros(2, 0), (-1,), zeros(0), zeros(0)), DimensionError,
+                        r"normalize: axes \(1,\) of shape \(2, 0\) hold no entries"),
     "slice-range": (lambda: slice_axis(zeros(2, 3), 1, 2, 5), DimensionError,
                     r"slice \[2:5\] is out of range for axis 1"),
     "dwconv-ndim": (lambda: depthwise_conv2d(zeros(4, 4), zeros(3, 3, 1)), DimensionError,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import masa_kit as mk
 from masa_kit import (ConfigurationError, DimensionError, Tensor, UsageError, backward,
-                      conv2d, count_macs, depthwise_conv2d, gelu, hadamard, matmul,
+                      conv2d, count_macs, depthwise_conv2d, gelu, hadamard, linear, matmul,
                       softmax_last, sum_all)
 from masa_kit.train import finite_diff_gradcheck
 
@@ -183,6 +183,54 @@ class TestMatmul:
         left = matmul(matmul(Tensor(a), Tensor(b)), Tensor(c)).data
         right = matmul(Tensor(a), matmul(Tensor(b), Tensor(c))).data
         assert np.max(np.abs(left - right)) < 1e-10
+
+
+class TestLinear:
+    @pytest.mark.parametrize("n,cin,cout", [(3136, 64, 192), (1, 512, 1000)], ids=["stage1-ffn", "head"])
+    def test_forward_and_gradients_equal_the_matmul_add_composite(self, n, cin, cout):
+        # the composite is the oracle: the same products and the same sums, so every bit agrees
+        rng = np.random.default_rng(60 + n)
+        arrays = (rng.standard_normal((n, cin)), rng.standard_normal((cin, cout)), rng.standard_normal(cout))
+        cot = Tensor(rng.standard_normal((n, cout)))
+        results = []
+        for op in (linear, lambda x, w, b: matmul(x, w) + b):
+            tracked = [Tensor(a, requires_grad=True) for a in arrays]
+            out = op(*tracked)
+            backward(sum_all(hadamard(out, cot)))
+            results.append([out.data] + [t.grad for t in tracked])
+        for name, got, want in zip(("forward", "dx", "dw", "db"), *results):
+            assert got.shape == want.shape, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+    @pytest.mark.parametrize("x_shape,w_shape,b_shape,named", [
+        ((2, 3, 4), (4, 5), (5,), r"linear needs x \[N, Cin\]"),
+        ((3, 4), (5, 6), (6,), "inner dimensions disagree"),
+        ((3, 4), (4, 5), (5, 1), r"bias must have shape \(5,\)"),
+    ], ids=["x-not-2d", "inner-mismatch", "bias-not-cout"])
+    def test_bad_shapes_rejected(self, x_shape, w_shape, b_shape, named):
+        with pytest.raises(DimensionError, match=named):
+            linear(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)))
+
+    def test_forward_retains_only_its_output(self):
+        # the stage-1 FFN input projection: the matmul output takes the bias in place
+        rng = np.random.default_rng(61)
+        x, w, b = (Tensor(rng.standard_normal(s), requires_grad=True) for s in ((3136, 64), (64, 192), (192,)))
+        tracemalloc.start()
+        try:
+            out = linear(x, w, b)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held <= out.data.nbytes + 64 * 2 ** 10
+
+    def test_mac_counter_counts_only_the_forward(self):
+        rng = np.random.default_rng(62)
+        tracked = [Tensor(rng.standard_normal(s), requires_grad=True) for s in ((7, 5), (5, 9), (9,))]
+        with count_macs() as counter:
+            backward(sum_all(linear(*tracked)))
+        assert all(t.grad is not None for t in tracked)
+        assert counter.total == 7 * 5 * 9
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +546,24 @@ class TestBackward:
         for first, second in zip(*grads):
             np.testing.assert_array_equal(first, second)
 
+    def test_linear_and_normalize_adjoints_keep_no_used_up_state(self):
+        # normalize's adjoint pass rebuilds x_hat from x, so a second loss through the same
+        # linear and normalize nodes gets the same gradients bit for bit
+        rng = np.random.default_rng(49)
+        x, w, b, gain, shift = (Tensor(rng.standard_normal(s), requires_grad=True)
+                                for s in ((6, 4), (4, 5), (5,), (5,), (5,)))
+        out = mk.normalize(linear(x, w, b), (-1,), gain, shift)
+        cot = Tensor(rng.standard_normal(out.shape))
+        leaves = (x, w, b, gain, shift)
+        grads = []
+        for _ in range(2):
+            backward(sum_all(hadamard(out, cot)))
+            grads.append([t.grad for t in leaves])
+            for t in leaves:
+                t.zero_grad()
+        for first, second in zip(*grads):
+            np.testing.assert_array_equal(first, second)
+
     def test_no_vjp_runs_for_an_untracked_parent(self):
         def refuse(g):
             raise AssertionError("vjp ran for a constant parent")
@@ -532,6 +598,7 @@ OP_CASES = {
     "hadamard": lambda i, r: _weighted_sum(hadamard(i[0], i[1]), r),
     "mul_scalar": lambda i, r: _weighted_sum(mk.mul_scalar(i[0], 1.7), r),
     "matmul": lambda i, r: _weighted_sum(matmul(i[0], mk.transpose(i[1])), r),
+    "linear": lambda i, r: _weighted_sum(linear(i[0], mk.transpose(i[1]), mk.mean_axes(i[1], (1,))), r),
     "transpose": lambda i, r: _weighted_sum(mk.transpose(i[0]), r),
     "reshape": lambda i, r: _weighted_sum(mk.reshape(i[0], (i[0].size,)), r),
     "concat": lambda i, r: _weighted_sum(mk.concat([i[0], i[1]], axis=0), r),
