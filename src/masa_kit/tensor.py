@@ -27,7 +27,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import erf
 
 from .errors import ConfigurationError, DimensionError, UsageError
 
@@ -264,7 +263,14 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact Gaussian error linear unit, 0.5 * x * (1 + erf(x / sqrt(2)))."""
+    """Exact Gaussian error linear unit, 0.5 * x * (1 + erf(x / sqrt(2))).
+
+    ``scipy.special`` is imported on the first call, not with the package, so a
+    process that runs no GELU never pays that import, the largest part of
+    ``import masa_kit`` otherwise.
+    """
+    from scipy.special import erf
+
     a = _ensure(a)
     cdf = 0.5 * (1.0 + erf(a.data / _SQRT2))
 
@@ -723,12 +729,19 @@ INIT_STD = 0.02
 
 
 def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Normal(0, INIT_STD) samples resampled until they land within two deviations."""
+    """Normal(0, INIT_STD) samples resampled until they land within two deviations.
+
+    The draw order is part of the contract: one draw of the whole array, then
+    one draw per round for the entries still out of range, filled in ascending
+    flat index order. Changing it changes every seed's weights.
+    """
     x = rng.normal(0.0, INIT_STD, size=shape)
-    bad = np.abs(x) > 2.0 * INIT_STD
-    while bad.any():
-        x[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
-        bad = np.abs(x) > 2.0 * INIT_STD
+    flat = x.reshape(-1)
+    idx = np.flatnonzero(np.abs(flat) > 2.0 * INIT_STD)
+    while idx.size:
+        redraw = rng.normal(0.0, INIT_STD, size=idx.size)
+        flat[idx] = redraw
+        idx = idx[np.abs(redraw) > 2.0 * INIT_STD]
     return x
 
 

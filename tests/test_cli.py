@@ -300,6 +300,43 @@ def test_closed_stdout_gives_one_error_line_and_exit_1(src_env):
     assert proc.stderr == "error: standard output was closed\n"
 
 
+_SCIPY_SPECIAL_PROBE = """
+import contextlib, io, json, sys
+import numpy as np
+import masa_kit as mk
+from masa_kit.cli import main
+
+out, loaded = sys.argv[1], {}
+def note(step):
+    loaded[step] = "scipy.special" in sys.modules
+note("import")
+mk.build_backbone(mk.preset_config("tiny"), 0)
+note("build_backbone")
+mk.count_flops(mk.preset_config("tiny"), 64)
+note("count_flops")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["model-stats", "--preset", "tiny"]) == 0
+    note("model-stats")
+    assert main(["dump-decay", "--height", "3", "--width", "3", "--gamma", "0.5", "--out", out]) == 0
+    note("dump-decay")
+    assert main(["scaling", "--sides", "2", "--head-dim", "2", "--repeats", "3", "--out", out]) == 0
+    note("scaling")
+mk.gelu(mk.Tensor(np.zeros(2)))
+note("gelu")
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_special_loads_with_the_first_gelu_only(tmp_path, src_env):
+    # scipy.special is the largest import of the package; only work that runs a GELU pays it
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_SPECIAL_PROBE, str(tmp_path / "o.csv")],
+                          env=src_env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"import": False, "build_backbone": False,
+                                       "count_flops": False, "model-stats": False,
+                                       "dump-decay": False, "scaling": False, "gelu": True}
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("the command started work before checking --out")
 

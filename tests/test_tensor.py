@@ -765,6 +765,36 @@ def test_mac_counter_nests():
     assert outer.total == 16
 
 
+def trunc_normal_rescan_oracle(rng, shape):
+    """The full-rescan loop: redraw every out-of-range entry, rescan the whole array, repeat.
+
+    Returns the draw and the number of redraw rounds it took.
+    """
+    x = rng.normal(0.0, mk.tensor.INIT_STD, size=shape)
+    bad = np.abs(x) > 2.0 * mk.tensor.INIT_STD
+    rounds = 0
+    while bad.any():
+        x[bad] = rng.normal(0.0, mk.tensor.INIT_STD, size=int(bad.sum()))
+        bad = np.abs(x) > 2.0 * mk.tensor.INIT_STD
+        rounds += 1
+    return x, rounds
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("shape", [(0,), (1,), (7,), (64, 64), (3, 3, 32, 64), (512, 1536)])
+def test_trunc_normal_matches_the_full_rescan_draw_for_draw(shape, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = mk.trunc_normal(rng, shape)
+    want, rounds = trunc_normal_rescan_oracle(ref_rng, shape)
+    if shape == (512, 1536):
+        assert rounds >= 3  # the redraws of redraws are exercised
+    assert np.array_equal(got, want)
+    # later parameters of build_backbone draw from the same generator
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert got.shape == shape and got.flags.c_contiguous
+    assert np.all(np.abs(got) <= 2.0 * mk.tensor.INIT_STD)
+
+
 def test_trunc_normal_is_bounded_and_deterministic():
     a = mk.trunc_normal(np.random.default_rng(5), (1000,))
     b = mk.trunc_normal(np.random.default_rng(5), (1000,))
