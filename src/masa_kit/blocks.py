@@ -23,7 +23,7 @@ import numpy as np
 from .attention import (LCE_KERNEL, MaSAConfig, MaSAParams, attention_score_apply_macs,
                         init_masa_params, lce, masa_layer_forward, token_image)
 from .decay import GridShape, gamma_schedule
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, require_integer
 from .tensor import (Tensor, add, conv2d, gelu, init_kernel, init_weight, linear, mean_axes,
                      normalize, reshape, transpose)
 
@@ -48,6 +48,8 @@ class StageConfig:
     decomposed: bool
 
     def __post_init__(self) -> None:
+        for name in ("num_blocks", "channels", "heads"):
+            object.__setattr__(self, name, require_integer(f"stage {name}", getattr(self, name)))
         if self.num_blocks < 1:
             raise ConfigurationError(f"a stage needs at least one block, got {self.num_blocks}")
         if self.heads < 1:
@@ -77,6 +79,8 @@ class ModelConfig:
     input_resolution: int
 
     def __post_init__(self) -> None:
+        for name in ("num_classes", "input_resolution"):
+            object.__setattr__(self, name, require_integer(f"model {name}", getattr(self, name)))
         if len(self.stages) != 4:
             raise ConfigurationError(f"the backbone has exactly four stages, got {len(self.stages)}")
         if self.num_classes < 1:

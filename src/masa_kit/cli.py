@@ -86,14 +86,14 @@ def cmd_dump_decay(args: argparse.Namespace) -> int:
     out = Path(args.out)
     _write_csv(out, None, _matrix_rows(d2d.data))
     print(f"wrote {grid.size}x{grid.size} decay matrix to {out}")
-    if args.decomposed:
+    if args.decomposed or args.kron_check:
         d_h, d_w = decay.decay_axial_pair(grid, args.gamma)
+    if args.decomposed:
         for suffix, mat in (("_h", d_h), ("_w", d_w)):
             side = out.with_name(out.stem + suffix + out.suffix)
             _write_csv(side, None, _matrix_rows(mat.data))
             print(f"wrote axial factor to {side}")
     if args.kron_check:
-        d_h, d_w = decay.decay_axial_pair(grid, args.gamma)
         diff = float(np.max(np.abs(np.kron(d_h.data, d_w.data) - d2d.data)))
         print(f"factorization max abs diff: {_fmt(diff)}")
         if diff >= 1e-12:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_integer
 from .tensor import Tensor
 
 
@@ -29,10 +29,7 @@ class GridShape:
 
     def __post_init__(self) -> None:
         for name in ("height", "width"):
-            side = getattr(self, name)
-            if isinstance(side, bool) or not isinstance(side, (int, np.integer)) or side < 1:
-                raise ConfigurationError(f"grid {name} must be an integer of at least 1, got {side!r}")
-            object.__setattr__(self, name, int(side))
+            object.__setattr__(self, name, require_integer(f"grid {name}", getattr(self, name), 1))
 
     @property
     def size(self) -> int:

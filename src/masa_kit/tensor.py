@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, DimensionError, UsageError
+from .errors import ConfigurationError, DimensionError, UsageError, require_integer
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -610,79 +609,60 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
 # Convolutions
 
 
-def _pad_hw(a: np.ndarray, p: int) -> np.ndarray:
-    """Zero-pad the two leading (spatial) axes of an [H, W, C] array by ``p`` on each side."""
-    return np.pad(a, ((p, p), (p, p), (0, 0)))
+def _windows(a: np.ndarray, k: int, p: int, s: int = 1) -> np.ndarray:
+    """The k x k windows, every ``s`` pixels, of an [H, W, C] map zero-padded by ``p`` on each side.
 
-
-def _depthwise_rows(xp: np.ndarray, kt: np.ndarray) -> np.ndarray:
-    """Per-channel cross-correlation of a padded [Hp, Wp, C] map with ``kt`` [k, k, C].
-
-    One einsum per kernel row i contracts the k taps of that row over the
-    sliding windows of rows i..i+Ho, so the inner loop runs over contiguous
-    channels. ``kt`` must be contiguous: a strided kernel view sends einsum
-    down a slower path. Returns [Hp - k + 1, Wp - k + 1, C].
+    A [Ho, Wo, k, k, C] strided view over one padded copy, so a window's taps
+    run in (i, j, c) order and each tap is a contiguous channel vector.
     """
-    k = kt.shape[0]
-    h = xp.shape[0] - k + 1
-    win = sliding_window_view(xp, k, axis=1)  # [Hp, Wo, C, k]: the tap j runs last
-    out = np.einsum("hwcj,jc->hwc", win[:h], kt[0])
-    for i in range(1, k):
-        out += np.einsum("hwcj,jc->hwc", win[i:i + h], kt[i])
-    return out
+    h, w, c = a.shape
+    xp = np.zeros((h + 2 * p, w + 2 * p, c), a.dtype)
+    xp[p:p + h, p:p + w] = a
+    sh, sw, sc = xp.strides
+    shape = ((h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1, k, k, c)
+    return np.ndarray(shape, xp.dtype, xp, 0, (s * sh, s * sw, sh, sw, sc))
 
 
 def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     """Per-channel 2D cross-correlation with zero padding that preserves H and W.
 
     ``x`` is [H, W, C], ``kernel`` is [k, k, C] with odd k. The forward pass and
-    the input adjoint are k row contractions each (``_depthwise_rows``), the
-    adjoint over the padded cotangent with the kernel flipped in both axes; the
-    kernel adjoint is k einsums of the cotangent against the windows of the input,
-    which it pads again rather than keep the padded copy on the tape.
+    each adjoint are one einsum over one window view (``_windows``): the input
+    adjoint contracts the windows of the padded cotangent with the kernel flipped
+    in both axes, and the kernel adjoint contracts the cotangent with the windows
+    of the input, which it pads again rather than keep the padded copy on the tape.
     """
     x, kernel = _ensure(x), _ensure(kernel)
     if x.ndim != 3 or kernel.ndim != 3:
         raise DimensionError(f"depthwise_conv2d needs [H,W,C] and [k,k,C], got {x.shape} and {kernel.shape}")
     h, w, c = x.shape
-    kh, kw, ck = kernel.shape
-    if kh != kw:
+    k, kw, ck = kernel.shape
+    if k != kw:
         raise DimensionError(f"depthwise kernel must be square, got {kernel.shape}")
-    if kh % 2 == 0:
-        raise ConfigurationError(f"depthwise kernel size must be odd, got {kh}")
+    if k % 2 == 0:
+        raise ConfigurationError(f"depthwise kernel size must be odd, got {k}")
     if ck != c:
         raise DimensionError(f"channel mismatch: input has {c} channels, kernel has {ck}")
-    pad = kh // 2
-    data = _depthwise_rows(_pad_hw(x.data, pad), np.ascontiguousarray(kernel.data))
-    _record_macs(c * h * w * kh * kw)
+    pad = k // 2
+    data = np.einsum("hwijc,ijc->hwc", _windows(x.data, k, pad), kernel.data)
+    _record_macs(c * h * w * k * k)
 
     def vjp_x(g: np.ndarray) -> np.ndarray:
-        flipped = np.ascontiguousarray(kernel.data[::-1, ::-1])
-        return _depthwise_rows(_pad_hw(g, pad), flipped)
+        return np.einsum("hwijc,ijc->hwc", _windows(g, k, pad), kernel.data[::-1, ::-1])
 
     def vjp_kernel(g: np.ndarray) -> np.ndarray:
-        win = sliding_window_view(_pad_hw(x.data, pad), kw, axis=1)
-        kg = np.empty_like(kernel.data)
-        for i in range(kh):
-            kg[i] = np.einsum("hwc,hwcj->jc", g, win[i:i + h])
-        return kg
+        return np.einsum("hwc,hwijc->ijc", g, _windows(x.data, k, pad))
     return _result(data, (x, vjp_x), (kernel, vjp_kernel))
-
-
-def _conv_setting(name: str, value, least: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ConfigurationError(f"conv2d {name} must be an integer of at least {least}, got {value!r}")
-    return int(value)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -> Tensor:
     """2D cross-correlation plus a per-channel bias: [H,W,Cin] with [k,k,Cin,Cout] -> [Ho,Wo,Cout].
 
-    Lowered to one matmul over an im2col matrix [Ho*Wo, k*k*Cin] whose columns run in
-    (i, j, cin) order, so the gather and the input adjoint's scatter move whole
-    contiguous channel vectors; the weight, viewed as [k*k*Cin, Cout], is the other operand.
-    The tape keeps neither the im2col matrix nor the padded input: the weight adjoint
-    rebuilds the matrix from the input.
+    Lowered to one matmul over an im2col matrix [Ho*Wo, k*k*Cin], the window view of
+    ``_windows`` flattened, whose columns run in (i, j, cin) order, so the gather and
+    the input adjoint's scatter move whole contiguous channel vectors; the weight, viewed
+    as [k*k*Cin, Cout], is the other operand. The tape keeps neither the im2col matrix
+    nor the padded input: the weight adjoint rebuilds the matrix from the input.
     """
     x, weight, bias = _ensure(x), _ensure(weight), _ensure(bias)
     if x.ndim != 3 or weight.ndim != 4:
@@ -695,15 +675,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -
         raise DimensionError(f"conv2d kernel must be square, got {weight.shape}")
     if bias.shape != (cout,):
         raise DimensionError(f"conv2d bias must have shape ({cout},), got {bias.shape}")
-    s, p, k = _conv_setting("stride", stride, 1), _conv_setting("padding", padding, 0), kh
+    s, p, k = require_integer("conv2d stride", stride, 1), require_integer("conv2d padding", padding, 0), kh
     ho = (h + 2 * p - k) // s + 1
     wo = (w + 2 * p - k) // s + 1
     if ho < 1 or wo < 1:
         raise DimensionError(f"conv2d output would be empty for input {x.shape}, k={k}, stride={s}, padding={p}")
 
     def im2col() -> np.ndarray:
-        windows = sliding_window_view(_pad_hw(x.data, p), (k, k), axis=(0, 1))[::s, ::s]  # [Ho, Wo, Cin, k, k]
-        return windows.transpose(0, 1, 3, 4, 2).reshape(ho * wo, k * k * cin)
+        return _windows(x.data, k, p, s).reshape(ho * wo, k * k * cin)
     data = (im2col() @ weight.data.reshape(-1, cout)).reshape(ho, wo, cout) + bias.data
     _record_macs(cout * ho * wo * cin * k * k)
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .blocks import Model, ModelConfig, build_backbone, forward_classify
-from .errors import ConfigurationError, TrainingError, UsageError
+from .errors import ConfigurationError, TrainingError, UsageError, require_integer
 from .tensor import Tensor, backward, cross_entropy, mul_scalar
 
 
@@ -35,6 +35,8 @@ class DataConfig:
     batch_size: int = 8
 
     def __post_init__(self) -> None:
+        for name in ("seed", "n", "resolution", "num_classes", "batch_size"):
+            object.__setattr__(self, name, require_integer(f"data {name}", getattr(self, name)))
         for name, least in (("seed", 0), ("n", 1), ("num_classes", 1), ("batch_size", 1)):
             if getattr(self, name) < least:
                 raise ConfigurationError(f"data {name} must be at least {least}, got {getattr(self, name)}")

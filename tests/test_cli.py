@@ -73,6 +73,15 @@ class TestDumpDecay:
         diff = float(printed.split("factorization max abs diff:")[1].strip().splitlines()[0])
         assert diff < 1e-12
 
+    def test_decomposed_kron_check_builds_the_axial_pair_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+        pair = cli.decay.decay_axial_pair
+        monkeypatch.setattr(cli.decay, "decay_axial_pair", lambda *a: built.append(a) or pair(*a))
+        assert run_cli("dump-decay", "--height", "3", "--width", "4", "--gamma", "0.9",
+                       "--out", str(tmp_path / "d.csv"), "--decomposed", "--kron-check") == 0
+        assert len(built) == 1
+        assert "factorization max abs diff" in capsys.readouterr().out
+
     def test_identical_invocations_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):

@@ -1,10 +1,12 @@
 """Each named refusal, one row per check: the error class and the fragment its message names."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from masa_kit import (ConfigurationError, DimensionError, GridShape, MaSAConfig, Tensor, UsageError,
-                      adamw_step, attention_score_apply_macs, build_backbone, concat, conv2d,
+from masa_kit import (ConfigurationError, DataConfig, DimensionError, GridShape, MaSAConfig, Tensor,
+                      UsageError, adamw_step, attention_score_apply_macs, build_backbone, concat, conv2d,
                       conv_stem, depthwise_conv2d, gamma_schedule, init_masa_params, init_optim,
                       cross_entropy, masa_layer_forward, matmul, mean_axes, normalize, preset_config,
                       reshape, slice_axis)
@@ -19,6 +21,18 @@ def _layer_with_five_tokens_on_a_2x2_grid():
     config = MaSAConfig(dim=4, num_heads=2, decomposed=False, decay=gamma_schedule(2, 8, 2))
     params = init_masa_params(config, np.random.default_rng(0))
     masa_layer_forward(zeros(5, 4), params, config, GridShape(2, 2))
+
+
+def _stage(**changes):
+    return replace(preset_config("tiny").stages[0], **changes)
+
+
+def _data(**changes):
+    return replace(DataConfig(seed=0, n=4, resolution=32, num_classes=2), **changes)
+
+
+def _masa(**changes):
+    return replace(MaSAConfig(dim=8, num_heads=2, decomposed=False, decay=(0.5, 0.5)), **changes)
 
 
 def _adamw_with_a_missing_gradient():
@@ -69,6 +83,29 @@ REFUSALS = {
                       DimensionError, r"stem expects a \[3, R, R\] image"),
     "adamw-count": (_adamw_with_a_missing_gradient, UsageError, "got 1 params, 0 grads, 1 accumulators"),
     "item-non-scalar": (lambda: zeros(2).item(), UsageError, "item\\(\\) needs a single-element tensor"),
+    "stage-float-blocks": (lambda: _stage(num_blocks=2.5), ConfigurationError,
+                           "stage num_blocks must be an integer, got 2.5"),
+    "stage-str-blocks": (lambda: _stage(num_blocks="2"), ConfigurationError,
+                         "stage num_blocks must be an integer, got '2'"),
+    "stage-float-channels": (lambda: _stage(channels=64.0), ConfigurationError,
+                             "stage channels must be an integer, got 64.0"),
+    "stage-float-heads": (lambda: _stage(heads=2.0), ConfigurationError,
+                          "stage heads must be an integer, got 2.0"),
+    "stage-bool-heads": (lambda: _stage(heads=True), ConfigurationError,
+                         "stage heads must be an integer, got True"),
+    "model-float-classes": (lambda: replace(preset_config("tiny"), num_classes=2.0), ConfigurationError,
+                            "model num_classes must be an integer, got 2.0"),
+    "model-float-resolution": (lambda: replace(preset_config("tiny"), input_resolution=64.0),
+                               ConfigurationError, "model input_resolution must be an integer, got 64.0"),
+    "masa-float-dim": (lambda: _masa(dim=8.0), ConfigurationError, "masa dim must be an integer, got 8.0"),
+    "masa-float-heads": (lambda: _masa(num_heads=2.0), ConfigurationError,
+                         "masa num_heads must be an integer, got 2.0"),
+    "data-float-n": (lambda: _data(n=2.5), ConfigurationError, "data n must be an integer, got 2.5"),
+    "data-float-batch": (lambda: _data(batch_size=2.0), ConfigurationError,
+                         "data batch_size must be an integer, got 2.0"),
+    "data-float-seed": (lambda: _data(seed=1.5), ConfigurationError, "data seed must be an integer, got 1.5"),
+    "data-float-resolution": (lambda: _data(resolution=32.0), ConfigurationError,
+                              "data resolution must be an integer, got 32.0"),
 }
 
 

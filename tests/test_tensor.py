@@ -318,9 +318,10 @@ class TestDepthwiseConv:
         out = depthwise_conv2d(Tensor(hwc(x)), Tensor(hwc(k)))
         assert np.max(np.abs(chw(out.data) - dwconv_oracle(x, k))) < 1e-12
 
-    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("k", [1, 3, 5])
     def test_forward_and_gradients_at_model_kernel_sizes(self, k):
-        # an H != W map with several channels and a random cotangent, as the CPE (k=3) and LCE (k=5) see
+        # an H != W map with several channels and a random cotangent, as the CPE (k=3) and LCE (k=5) see;
+        # k=1 is the single-tap, unpadded window
         rng = np.random.default_rng(40 + k)
         x, cot = rng.standard_normal((4, 7, 5)), rng.standard_normal((4, 7, 5))
         kernel = rng.standard_normal((4, k, k))
@@ -355,7 +356,7 @@ class TestConv2d:
         out = conv2d(Tensor(hwc(x)), Tensor(hwio(w)), Tensor(b), stride=stride, padding=padding)
         assert np.max(np.abs(chw(out.data) - conv2d_oracle(x, w, b, stride, padding))) < 1e-12
 
-    @pytest.mark.parametrize("k,stride,padding", list(itertools.product((3, 5), (1, 2), (0, 1))))
+    @pytest.mark.parametrize("k,stride,padding", list(itertools.product((1, 3, 5), (1, 2), (0, 1))))
     def test_forward_and_gradients_at_model_kernel_sizes(self, k, stride, padding):
         rng = np.random.default_rng(50 + 4 * k + 2 * stride + padding)
         x, w, b = rng.standard_normal((3, 9, 6)), rng.standard_normal((4, 3, k, k)), rng.standard_normal(4)
