@@ -14,8 +14,8 @@ from .blocks import (Model, ModelConfig, StageConfig, build_backbone, conv_stem,
                      count_flops, count_params, count_params_analytic, cpe, downsample,
                      ffn, flops_by_stage, forward_classify, preset_config, rmt_block,
                      stage_grids)
-from .decay import (GridShape, decay_axial_pair, decay_bidirectional_1d, decay_causal_1d,
-                    decay_manhattan_2d, gamma_schedule)
+from .decay import (GridShape, decay_axial_kernels, decay_axial_pair, decay_bidirectional_1d,
+                    decay_causal_1d, decay_manhattan_2d, gamma_schedule)
 from .errors import (ConfigurationError, DimensionError, MasaKitError, TrainingError,
                      UsageError)
 from .tensor import (GradTape, MacCounter, Tensor, backward, concat, conv2d, count_macs,

@@ -5,8 +5,8 @@ variant, softmax attention weighted by a 2D Manhattan decay (full and
 axis-decomposed), a depthwise local-context term, and the multi-head layer
 that composes them. Kernels are pure functions; per-head and per-row work is
 independent. Every Manhattan attention pass is one ``decayed_attention`` call,
-which streams query rows in blocks and takes the decay as axial factors, so
-no N x N array is kept.
+which streams query rows in blocks and takes the decay as two axial kernels
+over token offsets, so no N x N array is kept.
 
 Score/apply cost: full attention spends 2*N^2*d MACs on an N-token grid while
 the decomposed form spends 2*N*(H+W)*d, so decomposition wins for any square
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import (GridShape, _check_gamma, decay_axial_pair, decay_bidirectional_1d,
+from .decay import (GridShape, _check_gamma, decay_axial_kernels, decay_bidirectional_1d,
                     decay_causal_1d)
 from .errors import ConfigurationError, DimensionError, require_integer
 from .tensor import (Tensor, concat, decayed_attention, depthwise_conv2d, hadamard, init_kernel,
@@ -141,14 +141,15 @@ def masa_full(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
     logits are divided by sqrt(d) before the softmax. ``gamma`` is one rate,
     None (no decay: plain softmax attention), or a tuple with one rate per
     entry of the first axis (the heads), shared by any axes between it and N.
-    The decay enters as its two axial factors, so no N x N matrix is built.
+    The decay enters as its two axial kernels over token offsets
+    (``decay_axial_kernels``), so no N x N matrix is built.
     """
     if q.shape[-2:-1] != (grid.size,):
         raise DimensionError(f"expected [..., N, d] tokens filling a {grid.height}x{grid.width} grid, "
                              f"got {q.shape}")
     _check_rates(q, gamma)
-    factors = None if gamma is None else decay_axial_pair(grid, gamma)
-    if isinstance(gamma, tuple):  # [heads, n, n] -> [heads, 1, ..., n, n] over the batch axes
+    factors = None if gamma is None else decay_axial_kernels(grid, gamma)
+    if isinstance(gamma, tuple):  # [heads, 2n - 1] -> [heads, 1, ..., 2n - 1] over the batch axes
         factors = tuple(Tensor(f.data.reshape(f.shape[:1] + (1,) * (q.ndim - 3) + f.shape[1:]))
                         for f in factors)
     return decayed_attention(q, k, v, factors, 1.0 / math.sqrt(q.shape[-1]))

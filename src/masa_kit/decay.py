@@ -3,7 +3,9 @@
 Builds the per-head decay-rate schedule, 1D causal and bidirectional decay
 matrices, the 2D Manhattan-distance decay matrix over a token grid, and its
 exact axial factorization (the Kronecker product of the two 1D bidirectional
-matrices reproduces the 2D matrix entrywise).
+matrices reproduces the 2D matrix entrywise). The attention kernels take the
+factorization as two axial kernels over token offsets, the centre profiles of
+those 1D matrices.
 
 All functions are pure and safe to call concurrently. Matrices come back as
 constant (non-tracked) tensors.
@@ -112,3 +114,22 @@ def decay_axial_pair(grid: GridShape, gamma: float | tuple[float, ...]) -> tuple
         raise ConfigurationError("a tuple of decay rates needs at least one rate")
     return tuple(Tensor(np.stack([decay_bidirectional_1d(n, g).data for g in gamma]))
                  for n in (grid.height, grid.width))
+
+
+def decay_axial_kernels(grid: GridShape, gamma: float | tuple[float, ...]) -> tuple[Tensor, Tensor]:
+    """The decay along the height and width axes of a grid as kernels over token offsets.
+
+    The height kernel is a[i] = gamma**|i - (H - 1)| for i < 2H - 1, the centre
+    profile of the 1D bidirectional matrix, and the width kernel b likewise over
+    2W - 1 offsets, so the Manhattan decay is
+    D[n, m] = a[y_m - y_n + H - 1] * b[x_m - x_n + W - 1]: the form
+    ``decayed_attention`` takes. A tuple of rates, one per head, gives the
+    kernels stacked as [heads, 2H - 1] and [heads, 2W - 1].
+    """
+    if not isinstance(gamma, tuple):
+        rates = _check_gamma(gamma)
+    elif not gamma:
+        raise ConfigurationError("a tuple of decay rates needs at least one rate")
+    else:
+        rates = np.array([_check_gamma(g, f" of head {i}") for i, g in enumerate(gamma)])[:, None]
+    return tuple(Tensor(rates ** np.abs(np.arange(1 - n, n))) for n in (grid.height, grid.width))

@@ -500,19 +500,31 @@ def _row_blocks(batch: int, length: int) -> list[tuple[int, int]]:
     return [(start, min(start + step, length)) for start in range(0, length, step)]
 
 
-def _decay_in_place(w: np.ndarray, a: np.ndarray, b: np.ndarray, start: int, stop: int) -> None:
-    """Multiply w [..., rows, Ha*Wb] in place by rows start..stop of the Kronecker product
-    of a [..., Ha, Ha] and b [..., Wb, Wb], one factor's rows at a time over a [Ha, Wb] view.
+def _decay_in_place(w: np.ndarray, kernel: np.ndarray, start: int, stop: int) -> None:
+    """Multiply w [..., rows, Ha*Wb] in place by rows start..stop of the decay of a
+    kernel [..., 2Ha-1, 2Wb-1]: D[n, m] = kernel[y_m - y_n + Ha - 1, x_m - x_n + Wb - 1].
+
+    Query n's row of D is the [Ha, Wb] window of the kernel at (Ha-1 - y_n, Wb-1 - x_n),
+    so a run of queries is one strided view [..., ny, nx, Ha, Wb] with strides
+    (-s0, -s1, s0, s1): one multiply pass each for a partial first grid row, the
+    whole rows and a partial last row, with no gather and no block-sized temporary.
     """
-    rows = np.arange(start, stop)
-    ha, wb = a.shape[-1], b.shape[-1]
-    grid = w.reshape(w.shape[:-1] + (ha, wb))  # a view: w is a fresh contiguous block
-    b_rows = np.take(b, rows % wb, axis=-2)
-    if ha == 1:  # a is one number per batch entry: fold it into b's rows, not into the block
-        b_rows = b_rows * a
-    else:
-        grid *= np.take(a, rows // wb, axis=-2)[..., :, :, None]
-    grid *= b_rows[..., :, None, :]
+    ha, wb = (kernel.shape[-2] + 1) // 2, (kernel.shape[-1] + 1) // 2
+    s0, s1 = kernel.strides[-2:]
+    row = start
+    while row < stop:
+        y, x = divmod(row, wb)
+        if x == 0 and stop - row >= wb:  # whole grid rows
+            ny, nx = (stop - row) // wb, wb
+        else:  # part of one grid row
+            ny, nx = 1, min(wb - x, stop - row)
+        end = row + ny * nx
+        window = np.ndarray(kernel.shape[:-2] + (ny, nx, ha, wb), kernel.dtype, kernel,
+                            (ha - 1 - y) * s0 + (wb - 1 - x) * s1, kernel.strides[:-2] + (-s0, -s1, s0, s1))
+        block = w[..., row - start:end - start, :]
+        block = block.reshape(block.shape[:-2] + (ny, nx, ha, wb))  # a view: it only splits axes
+        block *= window
+        row = end
 
 
 def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Tensor] | None,
@@ -521,18 +533,20 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
 
     ``q`` and ``k`` are [..., L, d] and ``v`` is [..., L, dv], with the same
     leading (batch) axes. ``factors`` is None (no decay) or a pair of constant
-    tensors a [..., Ha, Ha] and b [..., Wb, Wb] with Ha * Wb = L, whose leading
-    axes broadcast to the batch; D is their Kronecker product,
-    D[n, m] = a[n // Wb, m // Wb] * b[n % Wb, m % Wb].
+    axial kernels a [..., 2Ha-1] and b [..., 2Wb-1] with Ha * Wb = L, whose
+    leading axes broadcast to the batch. Key m sits at (x_m, y_m) =
+    (m % Wb, m // Wb) on an Ha x Wb grid, and
+    D[n, m] = a[y_m - y_n + Ha - 1] * b[x_m - x_n + Wb - 1].
 
     Query rows run in blocks of about ``ATTENTION_BLOCK_ELEMENTS`` logits. A
     row's softmax needs only its own keys, so the blocks are exact. Each block's
-    exponentials are multiplied in place by the decay, built from the factor
-    rows, and applied to v before the division by their row sum. One
-    log-sum-exp per query row is kept, so the backward pass rebuilds each
-    block's weights from q and k in three passes (a matmul, a subtraction, an
-    exp): no [L, L] array outlives a block. The MACs counted are those of
-    q k^T and of the weights times v, in the forward pass only.
+    exponentials are multiplied in place by the decay, one pass over windows of
+    the [..., 2Ha-1, 2Wb-1] kernel product of a and b (``_decay_in_place``), and
+    applied to v before the division by their row sum. One log-sum-exp per
+    query row is kept, so the backward pass rebuilds each block's weights from
+    q and k in three passes (a matmul, a subtraction, an exp), and the kernel
+    product from a and b: no [L, L] array outlives a block. The MACs counted
+    are those of q k^T and of the weights times v, in the forward pass only.
     """
     q, k, v = _ensure(q), _ensure(k), _ensure(v)
     if q.ndim < 2 or k.shape != q.shape or v.ndim != q.ndim or v.shape[:-1] != q.shape[:-1]:
@@ -543,19 +557,25 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
     if factors is not None:
         a, b = (_ensure(f) for f in factors)
         if a.requires_grad or b.requires_grad:
-            raise UsageError("decay factors are constants; they take no gradient")
-        if (a.ndim < 2 or b.ndim < 2 or a.shape[-1] != a.shape[-2] or b.shape[-1] != b.shape[-2]
-                or a.shape[-1] * b.shape[-1] != length):
-            raise DimensionError(f"decay factors {a.shape} and {b.shape} do not span {length} keys")
-        if not _broadcasts_to(batch, a.shape[:-2], b.shape[:-2]):
-            raise DimensionError(f"decay factors {a.shape} and {b.shape} do not broadcast to batch {batch}")
+            raise UsageError("decay kernels are constants; they take no gradient")
+        if (a.ndim < 1 or b.ndim < 1 or a.shape[-1] % 2 == 0 or b.shape[-1] % 2 == 0
+                or (a.shape[-1] + 1) // 2 * ((b.shape[-1] + 1) // 2) != length):
+            raise DimensionError(f"decay kernels {a.shape} and {b.shape} are not of odd lengths "
+                                 f"2Ha-1 and 2Wb-1 with Ha * Wb = {length} keys")
+        if not _broadcasts_to(batch, a.shape[:-1], b.shape[:-1]):
+            raise DimensionError(f"decay kernels {a.shape} and {b.shape} do not broadcast to batch {batch}")
         fa, fb = a.data, b.data
+
+    def kernel() -> np.ndarray | None:
+        """The [..., 2Ha-1, 2Wb-1] kernel product of a and b, built once per pass over the blocks."""
+        return None if fa is None else fa[..., :, None] * fb[..., None, :]
     qd, kd, vd = q.data, k.data, v.data
     kt = kd.swapaxes(-1, -2)
     n_batch = int(np.prod(batch, dtype=np.int64))
     blocks = _row_blocks(n_batch, length)
     data = np.empty(q.shape[:-1] + v.shape[-1:])
     lse = np.empty(q.shape[:-1] + (1,))
+    kern = kernel()
     for start, stop in blocks:
         rows = (Ellipsis, slice(start, stop), slice(None))
         e = (qd[rows] * scale) @ kt
@@ -563,8 +583,8 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
         e -= peak
         np.exp(e, out=e)
         z = e.sum(axis=-1, keepdims=True)
-        if fa is not None:
-            _decay_in_place(e, fa, fb, start, stop)
+        if kern is not None:
+            _decay_in_place(e, kern, start, stop)
         np.divide(e @ vd, z, out=data[rows])
         lse[rows] = peak + np.log(z)
     _record_macs(n_batch * length * length * (q.shape[-1] + v.shape[-1]))
@@ -574,6 +594,7 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
         dk = np.zeros_like(kd) if k.requires_grad else None
         dv = np.zeros_like(vd) if v.requires_grad else None
         vt = vd.swapaxes(-1, -2)
+        kern = kernel()
         # rowsum(dP * P) = rowsum(dW * W) = g . out per row, as rows are not renormalized
         delta = (g * data).sum(axis=-1, keepdims=True)
         for start, stop in blocks:
@@ -583,8 +604,8 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
             np.exp(p, out=p)
             if dq is not None or dk is not None:
                 ds = g[rows] @ vt
-                if fa is not None:
-                    _decay_in_place(ds, fa, fb, start, stop)
+                if kern is not None:
+                    _decay_in_place(ds, kern, start, stop)
                 ds -= delta[rows]
                 ds *= p
                 if dq is not None:
@@ -593,8 +614,8 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
                     dk += ds.swapaxes(-1, -2) @ qd[rows]
                 del ds
             if dv is not None:
-                if fa is not None:
-                    _decay_in_place(p, fa, fb, start, stop)
+                if kern is not None:
+                    _decay_in_place(p, kern, start, stop)
                 dv += p.swapaxes(-1, -2) @ g[rows]
         for grad in (dq, dk):
             if grad is not None:

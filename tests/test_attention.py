@@ -8,7 +8,7 @@ import pytest
 
 from masa_kit import (ConfigurationError, DimensionError, GridShape, MaSAConfig,
                       Tensor, UsageError, attention_score_apply_macs, backward, bi_retention,
-                      count_macs, decay_axial_pair, decay_bidirectional_1d, decay_manhattan_2d,
+                      count_macs, decay_axial_kernels, decay_manhattan_2d,
                       decayed_attention, gamma_schedule, hadamard, init_masa_params, lce,
                       masa_decomposed, masa_full, masa_layer_forward, matmul, mul_scalar,
                       retention_parallel, retention_recurrent, softmax_last, sum_all, tape_for,
@@ -77,12 +77,13 @@ def composite_attend(q, k, v, decay, scale):
     return matmul(weights, v)
 
 
-def kron_decay(a, b):
-    """The [..., L, L] decay the factor pair stands for, built whole with batched np.kron."""
+def kernel_decay(a, b):
+    """The [..., L, L] decay the axial kernels stand for, indexed entry by entry from the
+    token coordinates: D[n, m] = a[y_m - y_n + Ha - 1] * b[x_m - x_n + Wb - 1]."""
     a, b = np.asarray(a), np.asarray(b)
-    full = a[..., :, None, :, None] * b[..., None, :, None, :]
-    length = a.shape[-1] * b.shape[-1]
-    return full.reshape(full.shape[:-4] + (length, length))
+    ha, wb = (a.shape[-1] + 1) // 2, (b.shape[-1] + 1) // 2
+    x, y = GridShape(ha, wb).coords(np.arange(ha * wb))
+    return a[..., y[None, :] - y[:, None] + ha - 1] * b[..., x[None, :] - x[:, None] + wb - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -451,30 +452,28 @@ class TestMasaLayer:
 # the fused decayed-attention op against the composite oracle
 
 
-def _per_head_factors(heads, height, width):
-    gammas = gamma_schedule(2, 8, heads)
-    return (np.stack([decay_bidirectional_1d(height, g).data for g in gammas]),
-            np.stack([decay_bidirectional_1d(width, g).data for g in gammas]))
+def _kernels(height, width, gamma):
+    """The axial kernel arrays of a height x width grid; a tuple of rates stacks them per head."""
+    return tuple(f.data for f in decay_axial_kernels(GridShape(height, width), gamma))
 
 
 def _fused_case(name):
-    """(q/k/v shape, factor arrays or None, scale) for one named case."""
+    """(q/k/v shape, kernel arrays or None, scale) for one named case."""
     if name == "no-decay":
         return (6, 4), None, 1.0
     if name in ("grid-2x3", "grid-3x5"):
         height, width = (2, 3) if name == "grid-2x3" else (3, 5)
-        d_h, d_w = decay_axial_pair(GridShape(height, width), 0.7)
-        return (height * width, 4), (d_h.data, d_w.data), 0.5
+        return (height * width, 4), _kernels(height, width, 0.7), 0.5
     if name == "axis-1d":
-        return (3, 5, 4), (np.ones((1, 1)), decay_bidirectional_1d(5, 0.6).data), 0.5
+        return (3, 5, 4), _kernels(1, 5, 0.6), 0.5
     if name == "per-head-full":
-        return (2, 6, 3), _per_head_factors(2, 2, 3), 1 / math.sqrt(3)
+        return (2, 6, 3), _kernels(2, 3, gamma_schedule(2, 8, 2)), 1 / math.sqrt(3)
     if name == "per-head-axis":
-        _, d_w = _per_head_factors(3, 2, 5)
-        return (3, 2, 5, 4), (np.ones((1, 1)), d_w[:, None]), 0.5
+        _, d_w = _kernels(1, 5, gamma_schedule(2, 8, 3))
+        return (3, 2, 5, 4), (np.ones(1), d_w[:, None]), 0.5
     if name == "scaled-1x1-outer":
-        _, d_w = _per_head_factors(2, 2, 5)
-        return (2, 5, 4), (np.array([0.5, 2.0])[:, None, None], d_w), 0.5
+        _, d_w = _kernels(1, 5, gamma_schedule(2, 8, 2))
+        return (2, 5, 4), (np.array([0.5, 2.0])[:, None], d_w), 0.5
     raise ValueError(name)
 
 
@@ -485,7 +484,7 @@ _FUSED_CASES = ["no-decay", "grid-2x3", "grid-3x5", "axis-1d", "per-head-full",
 def _fused_and_oracle(factors, scale, arrays):
     """[out, dq, dk, dv] of the fused op and of the composite oracle for q, k, v, cotangent."""
     cotangent = Tensor(arrays[3])
-    decay = None if factors is None else Tensor(kron_decay(*factors))
+    decay = None if factors is None else Tensor(kernel_decay(*factors))
     results = []
     for op in (lambda q, k, v: decayed_attention(
                    q, k, v, None if factors is None else tuple(map(Tensor, factors)), scale),
@@ -528,16 +527,15 @@ class TestDecayedAttention:
         assert tensor_module._row_blocks(1, 15) == [(i, min(i + 2, 15)) for i in range(0, 15, 2)]
         assert tensor_module._row_blocks(3, 5) == [(0, 2), (2, 4), (4, 5)]
 
-    def test_kronecker_factors_give_the_manhattan_decay(self):
+    def test_axial_kernels_give_the_manhattan_decay(self):
         grid = GridShape(3, 5)
-        d_h, d_w = decay_axial_pair(grid, 0.7)
-        np.testing.assert_allclose(kron_decay(d_h.data, d_w.data),
+        np.testing.assert_allclose(kernel_decay(*_kernels(3, 5, 0.7)),
                                    decay_manhattan_2d(grid, 0.7).data, rtol=1e-15)
 
     def test_gradcheck_across_several_blocks(self, monkeypatch):
         monkeypatch.setattr(tensor_module, "ATTENTION_BLOCK_ELEMENTS", 20)
         grid = GridShape(2, 3)
-        factors = decay_axial_pair(grid, 0.6)
+        factors = decay_axial_kernels(grid, 0.6)
         rng = np.random.default_rng(31)
         q, k, v = (Tensor(rng.uniform(-1, 1, (2, grid.size, 3))) for _ in range(3))
         err, _ = finite_diff_gradcheck(
@@ -626,17 +624,69 @@ class TestDecayedAttention:
     def test_bad_shapes_and_tracked_factors_rejected(self):
         rng = np.random.default_rng(35)
         q = rand(rng, 2, 6, 3)
-        d_h, d_w = decay_axial_pair(GridShape(2, 3), 0.5)
+        d_h, d_w = decay_axial_kernels(GridShape(2, 3), 0.5)
         with pytest.raises(DimensionError):
             decayed_attention(q, rand(rng, 2, 5, 3), q, None, None)
         with pytest.raises(DimensionError):
             decayed_attention(q, q, rand(rng, 2, 5, 3), None, None)
-        with pytest.raises(DimensionError):
-            decayed_attention(q, q, q, (d_w, d_w), None)
-        with pytest.raises(DimensionError):
-            decayed_attention(q, q, q, (Tensor(np.ones((3, 2, 2))), d_w), None)
         with pytest.raises(UsageError):
             decayed_attention(q, q, q, (d_h, Tensor(d_w.data, requires_grad=True)), None)
+
+    @pytest.mark.parametrize("a,b", [
+        (Tensor(1.0), Tensor(np.ones(5))),          # a 0-d kernel has no length to read
+        (Tensor(np.ones(3)), Tensor(np.ones(6))),   # 2 * ((6 + 1) // 2) = 6 keys, but no centre offset
+        (Tensor(np.ones(5)), Tensor(np.ones(5))),   # 3 * 3 offsets span 9 keys, not 6
+        (Tensor(np.ones((3, 3))), Tensor(np.ones(5))),  # 3 kernels for a batch of 2
+    ], ids=["0-d", "even-length", "wrong-product", "batch-mismatch"])
+    def test_bad_kernels_rejected_naming_both_shapes(self, a, b):
+        q = rand(np.random.default_rng(40), 2, 6, 3)
+        with pytest.raises(DimensionError) as info:
+            decayed_attention(q, q, q, (a, b), 1.0)
+        assert str(a.shape) in str(info.value) and str(b.shape) in str(info.value)
+
+
+def _decay_rows_by_every_split(w, kernel, length):
+    """w [..., L, L] decayed block by block for every block start..stop of its rows."""
+    for start in range(length):
+        for stop in range(start + 1, length + 1):
+            block = w[..., start:stop, :].copy()
+            tensor_module._decay_in_place(block, kernel, start, stop)
+            yield start, stop, block
+
+
+class TestOnePassDecay:
+    @pytest.mark.parametrize("height,width", [(3, 5), (1, 7)], ids=["grid-3x5", "one-row"])
+    def test_every_block_matches_the_manhattan_rows(self, height, width):
+        grid = GridShape(height, width)
+        a, b = _kernels(height, width, 0.7)
+        decay = decay_manhattan_2d(grid, 0.7).data
+        w = np.random.default_rng(41).uniform(0, 1, (grid.size, grid.size))
+        for start, stop, block in _decay_rows_by_every_split(w, a[:, None] * b[None, :], grid.size):
+            assert np.max(np.abs(block - w[start:stop] * decay[start:stop])) < 1e-15
+
+    def test_per_head_kernels_over_extra_batch_axes(self):
+        # [heads, 1, 2Ha-1, 2Wb-1] kernels over a [heads, 2, rows, L] batch of blocks
+        grid, rates = GridShape(4, 4), gamma_schedule(2, 8, 3)
+        a, b = _kernels(4, 4, rates)
+        kernel = (a[:, :, None] * b[:, None, :])[:, None]
+        decay = np.stack([decay_manhattan_2d(grid, g).data for g in rates])[:, None]
+        w = np.random.default_rng(42).uniform(0, 1, (3, 2, grid.size, grid.size))
+        for start, stop, block in _decay_rows_by_every_split(w, kernel, grid.size):
+            expected = w[..., start:stop, :] * decay[..., start:stop, :]
+            assert np.max(np.abs(block - expected)) < 1e-15
+
+    def test_a_side_48_block_allocates_no_block_sized_temporary(self):
+        # a block of 455 rows starts and ends mid grid row; a gather of its rows would be 350 KB
+        a, b = _kernels(48, 48, 0.9)
+        kernel = a[:, None] * b[None, :]
+        w = np.ones((455, 48 * 48))
+        tracemalloc.start()
+        try:
+            tensor_module._decay_in_place(w, kernel, 20, 475)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 10
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masa_kit import (ConfigurationError, GridShape, decay_axial_pair,
+from masa_kit import (ConfigurationError, GridShape, decay_axial_kernels, decay_axial_pair,
                       decay_bidirectional_1d, decay_causal_1d, decay_manhattan_2d,
                       gamma_schedule)
 
@@ -176,6 +176,36 @@ class TestAxialPair:
         d_h, d_w = decay_axial_pair(grid, gamma)
         full = decay_manhattan_2d(grid, gamma)
         assert np.max(np.abs(np.kron(d_h.data, d_w.data) - full.data)) < 1e-12
+
+
+class TestAxialKernels:
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.9])
+    @pytest.mark.parametrize("height,width", [(1, 1), (1, 6), (3, 5), (7, 2)])
+    def test_kernels_are_the_centre_profile_of_the_1d_matrices(self, height, width, gamma):
+        # D[n-1, j] for j < n, then D[0, j-n+1]: the last row's left half and the first row's right half
+        for n, kernel in zip((height, width), decay_axial_kernels(GridShape(height, width), gamma)):
+            d = decay_bidirectional_1d(n, gamma).data
+            np.testing.assert_array_equal(kernel.data, np.concatenate([d[n - 1, :n], d[0, 1:]]))
+
+    def test_a_tuple_of_rates_stacks_the_single_rate_kernels(self):
+        grid, gammas = GridShape(2, 3), (0.3, 0.5, 0.9)
+        stacked = decay_axial_kernels(grid, gammas)
+        for i, length in enumerate((3, 5)):
+            assert stacked[i].shape == (3, length)
+            np.testing.assert_array_equal(
+                stacked[i].data, np.stack([decay_axial_kernels(grid, g)[i].data for g in gammas]))
+
+    @pytest.mark.parametrize("gamma,fragment", [
+        (1.5, r"decay rate must lie strictly inside \(0, 1\), got 1.5$"),
+        (0.0, r"decay rate must lie strictly inside \(0, 1\), got 0.0$"),
+        ("a", "decay rate must be a real number, got 'a'$"),
+        ((0.5, 1.0), r"decay rate of head 1 must lie strictly inside \(0, 1\), got 1.0$"),
+        ((None,), "decay rate of head 0 must be a real number, got None$"),
+        ((), "a tuple of decay rates needs at least one rate$"),
+    ], ids=["above-one", "zero", "string", "head-at-one", "none-rate", "empty-tuple"])
+    def test_bad_rates_rejected(self, gamma, fragment):
+        with pytest.raises(ConfigurationError, match=fragment):
+            decay_axial_kernels(GridShape(2, 3), gamma)
 
 
 def test_grid_shape_rejects_empty_sides():
