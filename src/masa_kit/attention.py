@@ -22,7 +22,7 @@ import numpy as np
 
 from .decay import (GridShape, _check_gamma, decay_axial_kernels, decay_bidirectional_1d,
                     decay_causal_1d)
-from .errors import ConfigurationError, DimensionError, require_integer
+from .errors import ConfigurationError, DimensionError, require_kind
 from .tensor import (Tensor, concat, decayed_attention, depthwise_conv2d, hadamard, init_kernel,
                      init_weight, matmul, mul_scalar, reshape, slice_axis, transpose)
 
@@ -39,8 +39,8 @@ class MaSAConfig:
     decay: tuple[float, ...]  # one rate per head, as ``gamma_schedule`` returns
 
     def __post_init__(self) -> None:
-        for name in ("dim", "num_heads"):
-            object.__setattr__(self, name, require_integer(f"masa {name}", getattr(self, name)))
+        for name, kind in (("dim", int), ("num_heads", int), ("decomposed", bool)):
+            object.__setattr__(self, name, require_kind(f"masa {name}", getattr(self, name), kind))
         if self.dim < 1 or self.num_heads < 1:
             raise ConfigurationError(f"dim and num_heads must be positive, got {self.dim}, {self.num_heads}")
         if self.dim % self.num_heads:

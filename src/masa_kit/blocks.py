@@ -23,7 +23,7 @@ import numpy as np
 from .attention import (LCE_KERNEL, MaSAConfig, MaSAParams, attention_score_apply_macs,
                         init_masa_params, lce, masa_layer_forward, token_image)
 from .decay import GridShape, gamma_schedule
-from .errors import ConfigurationError, DimensionError, require_integer
+from .errors import ConfigurationError, DimensionError, require_integer, require_kind
 from .tensor import (Tensor, add, conv2d, gelu, init_kernel, init_weight, linear, mean_axes,
                      normalize, reshape, transpose)
 
@@ -37,6 +37,12 @@ DOWNSAMPLE_KERNEL = 3
 # Configuration
 
 
+# The config document's stage keys in document order: (key, StageConfig field, kind).
+_STAGE_KEYS = (("blocks", "num_blocks", int), ("channels", "channels", int), ("heads", "heads", int),
+               ("ffn_ratio", "ffn_ratio", float), ("decay_a", "decay_lower", float),
+               ("decay_b", "decay_upper", float), ("decomposed", "decomposed", bool))
+
+
 @dataclass(frozen=True)
 class StageConfig:
     num_blocks: int
@@ -48,8 +54,8 @@ class StageConfig:
     decomposed: bool
 
     def __post_init__(self) -> None:
-        for name in ("num_blocks", "channels", "heads"):
-            object.__setattr__(self, name, require_integer(f"stage {name}", getattr(self, name)))
+        for _, name, kind in _STAGE_KEYS:
+            object.__setattr__(self, name, require_kind(f"stage {name}", getattr(self, name), kind))
         if self.num_blocks < 1:
             raise ConfigurationError(f"a stage needs at least one block, got {self.num_blocks}")
         if self.heads < 1:
@@ -59,7 +65,7 @@ class StageConfig:
         if self.channels % self.heads:
             raise ConfigurationError(f"channels {self.channels} not divisible by heads {self.heads}")
         try:
-            hidden = self.ffn_ratio * self.channels
+            hidden = float(self.ffn_ratio) * self.channels
         except OverflowError:  # an int channel count beyond the float range
             hidden = np.inf
         if not np.isfinite(hidden) or hidden <= 0 or abs(hidden - round(hidden)) > 1e-9:
@@ -83,6 +89,9 @@ class ModelConfig:
             object.__setattr__(self, name, require_integer(f"model {name}", getattr(self, name)))
         if len(self.stages) != 4:
             raise ConfigurationError(f"the backbone has exactly four stages, got {len(self.stages)}")
+        for stage in self.stages:
+            if not isinstance(stage, StageConfig):
+                raise ConfigurationError(f"each stage must be a StageConfig, got {stage!r}")
         if self.num_classes < 1:
             raise ConfigurationError(f"num_classes must be positive, got {self.num_classes}")
         stage_grids(self, self.input_resolution)
@@ -91,12 +100,7 @@ class ModelConfig:
 
     def to_json_dict(self) -> dict:
         return {
-            "stages": [
-                {"blocks": s.num_blocks, "channels": s.channels, "heads": s.heads,
-                 "ffn_ratio": s.ffn_ratio, "decay_a": s.decay_lower,
-                 "decay_b": s.decay_upper, "decomposed": s.decomposed}
-                for s in self.stages
-            ],
+            "stages": [{key: getattr(s, name) for key, name, _ in _STAGE_KEYS} for s in self.stages],
             "num_classes": self.num_classes,
             "input_resolution": self.input_resolution,
         }
@@ -107,13 +111,8 @@ class ModelConfig:
     @staticmethod
     def from_json_dict(doc: dict) -> "ModelConfig":
         """Parse a config document; a missing key or a bad value raises ``ConfigurationError``."""
-        stages = tuple(
-            StageConfig(num_blocks=_field(s, "blocks", int), channels=_field(s, "channels", int),
-                        heads=_field(s, "heads", int), ffn_ratio=_field(s, "ffn_ratio", float),
-                        decay_lower=_field(s, "decay_a", float), decay_upper=_field(s, "decay_b", float),
-                        decomposed=_field(s, "decomposed", bool))
-            for s in _field(doc, "stages", list)
-        )
+        stages = tuple(StageConfig(**{name: _field(s, key, kind) for key, name, kind in _STAGE_KEYS})
+                       for s in _field(doc, "stages", list))
         return ModelConfig(stages=stages, num_classes=_field(doc, "num_classes", int),
                            input_resolution=_field(doc, "input_resolution", int))
 
@@ -327,7 +326,7 @@ def build_backbone(config: ModelConfig, seed: int) -> Model:
     Projections and conv kernels draw truncated-normal values (sigma ``INIT_STD``),
     biases start at zero, and norm gains at one.
     """
-    if seed < 0:
+    if require_integer("model seed", seed) < 0:
         raise ConfigurationError(f"model seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
 

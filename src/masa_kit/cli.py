@@ -16,7 +16,6 @@ import csv
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,27 +25,6 @@ from .errors import ConfigurationError, MasaKitError
 from .tensor import Tensor, count_macs
 
 MAX_BENCH_SIDE = 96
-
-
-@dataclass(frozen=True)
-class BenchRecord:
-    """One scaling-benchmark measurement; wall time is a median of repeats."""
-
-    mode: str
-    height: int
-    width: int
-    head_dim: int
-    macs: int
-    wall_ns: int
-    workers: str
-
-    def __post_init__(self) -> None:
-        if self.macs <= 0 or self.wall_ns <= 0:
-            raise MasaKitError(f"benchmark record needs positive counts, got {self}")
-
-    def row(self) -> list[str]:
-        return [self.mode, str(self.height), str(self.width), str(self.head_dim),
-                str(self.macs), str(self.wall_ns), self.workers]
 
 
 def _fmt(value: float) -> str:
@@ -177,11 +155,10 @@ def cmd_scaling(args: argparse.Namespace) -> int:
                 raise MasaKitError(
                     f"instrumented MACs {measured} disagree with analytic {analytic} "
                     f"for mode={mode} side={side}")
-            record = BenchRecord(mode=mode, height=side, width=side,
-                                 head_dim=args.head_dim, macs=analytic,
-                                 wall_ns=int(np.median(times)), workers=_threads.workers())
-            rows.append(record.row())
-            print(f"{mode:<10} side={side:<4} macs={analytic:<14} median={record.wall_ns} ns")
+            wall_ns = int(np.median(times))
+            rows.append([mode, str(side), str(side), str(args.head_dim), str(analytic), str(wall_ns),
+                         _threads.workers()])
+            print(f"{mode:<10} side={side:<4} macs={analytic:<14} median={wall_ns} ns")
     _write_csv(Path(args.out), ["mode", "height", "width", "head_dim", "macs", "wall_ns", "workers"],
                rows)
     print(f"wrote {len(rows)} benchmark rows to {args.out}")

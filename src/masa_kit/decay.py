@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, require_integer
+from .errors import ConfigurationError, require_integer, require_kind
 from .tensor import Tensor
 
 
@@ -50,6 +50,9 @@ def gamma_schedule(lower: float, upper: float, num_heads: int) -> tuple[float, .
     lands exactly on 1 - 2**-upper: receptive scale grows per head. Bounds whose
     rates round to 0 or 1 in float64 are refused.
     """
+    require_kind("lower", lower, float)
+    require_kind("upper", upper, float)
+    num_heads = require_integer("num_heads", num_heads)
     if not (0.0 < lower < upper):
         raise ConfigurationError(f"need 0 < lower < upper, got lower={lower}, upper={upper}")
     if num_heads < 1:
@@ -72,6 +75,7 @@ def _check_gamma(gamma: float, source: str = "") -> float:
 def decay_causal_1d(length: int, gamma: float) -> Tensor:
     """Lower-triangular decay: D[n, m] = gamma**(n - m) for n >= m, else 0."""
     gamma = _check_gamma(gamma)
+    length = require_integer("length", length)
     if length < 1:
         raise ConfigurationError(f"length must be positive, got {length}")
     n = np.arange(length)
@@ -83,6 +87,7 @@ def decay_causal_1d(length: int, gamma: float) -> Tensor:
 def decay_bidirectional_1d(length: int, gamma: float) -> Tensor:
     """Symmetric decay with unit diagonal: D[n, m] = gamma**|n - m|."""
     gamma = _check_gamma(gamma)
+    length = require_integer("length", length)
     if length < 1:
         raise ConfigurationError(f"length must be positive, got {length}")
     n = np.arange(length)
@@ -100,20 +105,13 @@ def decay_manhattan_2d(grid: GridShape, gamma: float) -> Tensor:
     return Tensor(gamma ** dist)
 
 
-def decay_axial_pair(grid: GridShape, gamma: float | tuple[float, ...]) -> tuple[Tensor, Tensor]:
-    """1D decay matrices for the height and width axes of a grid.
+def decay_axial_pair(grid: GridShape, gamma: float) -> tuple[Tensor, Tensor]:
+    """1D decay matrices for the height and width axes of a grid, at one rate.
 
     Their Kronecker product (height factor first) equals the full Manhattan
-    matrix, so splitting attention per axis keeps the same spatial prior. A
-    tuple of rates, one per head, gives the factors stacked as [heads, H, H]
-    and [heads, W, W].
+    matrix, so splitting attention per axis keeps the same spatial prior.
     """
-    if not isinstance(gamma, tuple):
-        return decay_bidirectional_1d(grid.height, gamma), decay_bidirectional_1d(grid.width, gamma)
-    if not gamma:
-        raise ConfigurationError("a tuple of decay rates needs at least one rate")
-    return tuple(Tensor(np.stack([decay_bidirectional_1d(n, g).data for g in gamma]))
-                 for n in (grid.height, grid.width))
+    return decay_bidirectional_1d(grid.height, gamma), decay_bidirectional_1d(grid.width, gamma)
 
 
 def decay_axial_kernels(grid: GridShape, gamma: float | tuple[float, ...]) -> tuple[Tensor, Tensor]:

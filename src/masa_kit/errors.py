@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check its configs share."""
+"""Exception types shared across the package, and the kind checks its configs share."""
 
 import numbers
 
@@ -33,3 +33,26 @@ def require_integer(what: str, value, least: int | None = None) -> int:
         bound = "" if least is None else f" of at least {least}"
         raise ConfigurationError(f"{what} must be an integer{bound}, got {value!r}")
     return int(value)
+
+
+def require_kind(what: str, value, kind: type):
+    """``value`` checked as ``kind`` (int, float or bool), or ``ConfigurationError`` naming ``what``.
+
+    An int goes through ``require_integer``. A float is a real number in the float range but
+    not a bool, and comes back unchanged. A bool is a Python or numpy bool, and comes back as ``bool``.
+    """
+    if kind is int:
+        return require_integer(what, value)
+    if kind is float:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            try:
+                float(value)
+                return value
+            except OverflowError:  # an integer beyond the float range
+                pass
+        raise ConfigurationError(f"{what} must be a real number in the float range, got {value!r}")
+    import numpy as np  # loaded by then; a module-level import would precede _threads
+
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ConfigurationError(f"{what} must be a bool, got {value!r}")

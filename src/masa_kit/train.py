@@ -55,7 +55,7 @@ def synth_dataset(seed: int, n: int, resolution: int, num_classes: int) -> list[
     """
     for name, value, least in (("seed", seed, 0), ("n", n, 1), ("resolution", resolution, 1),
                                ("num_classes", num_classes, 1)):
-        if value < least:
+        if require_integer(f"dataset {name}", value) < least:
             raise UsageError(f"dataset {name} must be at least {least}, got {value}")
     rng = np.random.default_rng(seed)
     axis = np.linspace(-1.0, 1.0, resolution)
@@ -150,6 +150,7 @@ class TrainState:
 
 def init_train_state(model_config: ModelConfig, data_config: DataConfig, steps: int,
                      seed: int = 0) -> TrainState:
+    steps = require_integer("steps", steps)
     if steps < 0:
         raise UsageError(f"steps must be non-negative, got {steps}")
     for name, wanted in (("num_classes", model_config.num_classes),
@@ -174,6 +175,7 @@ def _check_params_finite(state: TrainState) -> None:
 
 def train_step(state: TrainState, batch_size: int) -> float:
     """One forward/backward/update over a random batch; returns the batch loss."""
+    batch_size = require_integer("batch_size", batch_size)
     if batch_size < 1:
         raise UsageError(f"batch_size must be positive, got {batch_size}")
     _check_params_finite(state)
@@ -216,7 +218,7 @@ def train_loop(model_config: ModelConfig, data_config: DataConfig, steps: int,
     Deterministic given (seed, data_config.seed). Non-finite state raises
     ``TrainingError`` carrying the step index.
     """
-    if eval_interval < 1:
+    if require_integer("eval_interval", eval_interval) < 1:
         raise UsageError(f"eval_interval must be positive, got {eval_interval}")
     state = init_train_state(model_config, data_config, steps, seed=seed)
     loss0, acc0 = evaluate(state)

@@ -145,12 +145,10 @@ class TestAxialPair:
         np.testing.assert_allclose(
             d_w.data, [[1, 0.5, 0.25], [0.5, 1, 0.5], [0.25, 0.5, 1]], atol=1e-15)
 
-    def test_a_tuple_of_rates_stacks_the_single_rate_pairs(self):
-        grid, gammas = GridShape(2, 3), (0.3, 0.5, 0.9)
-        stacked = decay_axial_pair(grid, gammas)
-        for i in range(2):
-            np.testing.assert_array_equal(
-                stacked[i].data, np.stack([decay_axial_pair(grid, g)[i].data for g in gammas]))
+    def test_a_tuple_of_rates_refused(self):
+        # per-head decay is stacked only by decay_axial_kernels
+        with pytest.raises(ConfigurationError, match=r"decay rate must be a real number, got \(0.3, 0.5\)"):
+            decay_axial_pair(GridShape(2, 3), (0.3, 0.5))
 
     def test_an_empty_tuple_of_rates_rejected(self):
         with pytest.raises(ConfigurationError, match="rate"):

@@ -7,10 +7,12 @@ import pytest
 
 from masa_kit import (ConfigurationError, DataConfig, DimensionError, GridShape, MaSAConfig, Tensor,
                       UsageError, adamw_step, attention_score_apply_macs, build_backbone, concat, conv2d,
-                      conv_stem, depthwise_conv2d, gamma_schedule, init_masa_params, init_optim,
-                      cross_entropy, masa_layer_forward, matmul, mean_axes, normalize, preset_config,
-                      reshape, slice_axis)
+                      conv_stem, decay_bidirectional_1d, decay_causal_1d, depthwise_conv2d,
+                      gamma_schedule, init_masa_params, init_optim, cross_entropy, masa_layer_forward,
+                      matmul, mean_axes, normalize, preset_config, reshape, slice_axis, synth_dataset,
+                      train_loop)
 from masa_kit.attention import token_image
+from masa_kit.train import init_train_state, train_step
 
 
 def zeros(*shape):
@@ -33,6 +35,10 @@ def _data(**changes):
 
 def _masa(**changes):
     return replace(MaSAConfig(dim=8, num_heads=2, decomposed=False, decay=(0.5, 0.5)), **changes)
+
+
+def _train_state(steps=1):
+    return init_train_state(preset_config("tiny"), _data(n=2), steps)
 
 
 def _adamw_with_a_missing_gradient():
@@ -106,6 +112,48 @@ REFUSALS = {
     "data-float-seed": (lambda: _data(seed=1.5), ConfigurationError, "data seed must be an integer, got 1.5"),
     "data-float-resolution": (lambda: _data(resolution=32.0), ConfigurationError,
                               "data resolution must be an integer, got 32.0"),
+    "stage-str-decomposed": (lambda: _stage(decomposed="no"), ConfigurationError,
+                             "stage decomposed must be a bool, got 'no'"),
+    "stage-str-ffn-ratio": (lambda: _stage(ffn_ratio="a"), ConfigurationError,
+                            "stage ffn_ratio must be a real number in the float range, got 'a'"),
+    "stage-none-ffn-ratio": (lambda: _stage(ffn_ratio=None), ConfigurationError,
+                             "stage ffn_ratio must be a real number in the float range, got None"),
+    "stage-huge-ffn-ratio": (lambda: _stage(ffn_ratio=10 ** 400), ConfigurationError,
+                             "stage ffn_ratio must be a real number in the float range, got 1000"),
+    "stage-ffn-ratio-times-huge-channels": (lambda: _stage(ffn_ratio=10 ** 300, channels=10 ** 200),
+                                            ConfigurationError, "must be a positive integer"),
+    "schedule-huge-upper": (lambda: gamma_schedule(2, 10 ** 400, 3), ConfigurationError,
+                            "upper must be a real number in the float range, got 1000"),
+    "stage-str-decay-lower": (lambda: _stage(decay_lower="a"), ConfigurationError,
+                              "stage decay_lower must be a real number in the float range, got 'a'"),
+    "stage-none-decay-lower": (lambda: _stage(decay_lower=None), ConfigurationError,
+                               "stage decay_lower must be a real number in the float range, got None"),
+    "masa-str-decomposed": (lambda: _masa(decomposed="yes"), ConfigurationError,
+                            "masa decomposed must be a bool, got 'yes'"),
+    "model-int-stages": (lambda: replace(preset_config("tiny"), stages=(1, 2, 3, 4)), ConfigurationError,
+                         "each stage must be a StageConfig, got 1"),
+    "causal-float-length": (lambda: decay_causal_1d(2.5, 0.5), ConfigurationError,
+                            "length must be an integer, got 2.5"),
+    "bidirectional-float-length": (lambda: decay_bidirectional_1d(2.5, 0.5), ConfigurationError,
+                                   "length must be an integer, got 2.5"),
+    "bidirectional-bool-length": (lambda: decay_bidirectional_1d(True, 0.5), ConfigurationError,
+                                  "length must be an integer, got True"),
+    "schedule-bool-heads": (lambda: gamma_schedule(2, 6, True), ConfigurationError,
+                            "num_heads must be an integer, got True"),
+    "schedule-float-heads": (lambda: gamma_schedule(2, 6, 2.5), ConfigurationError,
+                             "num_heads must be an integer, got 2.5"),
+    "schedule-str-lower": (lambda: gamma_schedule("2", 6, 3), ConfigurationError,
+                           "lower must be a real number in the float range, got '2'"),
+    "dataset-float-n": (lambda: synth_dataset(0, 2.5, 8, 2), ConfigurationError,
+                        "dataset n must be an integer, got 2.5"),
+    "model-float-seed": (lambda: build_backbone(preset_config("tiny"), 1.5), ConfigurationError,
+                         "model seed must be an integer, got 1.5"),
+    "train-bool-eval-interval": (lambda: train_loop(preset_config("tiny"), _data(n=2), 1, eval_interval=True),
+                                 ConfigurationError, "eval_interval must be an integer, got True"),
+    "train-float-steps": (lambda: _train_state(steps=2.5), ConfigurationError,
+                          "steps must be an integer, got 2.5"),
+    "train-step-float-batch": (lambda: train_step(_train_state(), 2.5), ConfigurationError,
+                               "batch_size must be an integer, got 2.5"),
 }
 
 
