@@ -39,10 +39,8 @@ class MaSAConfig:
     decay: tuple[float, ...]  # one rate per head, as ``gamma_schedule`` returns
 
     def __post_init__(self) -> None:
-        for name, kind in (("dim", int), ("num_heads", int), ("decomposed", bool)):
-            object.__setattr__(self, name, require_kind(f"masa {name}", getattr(self, name), kind))
-        if self.dim < 1 or self.num_heads < 1:
-            raise ConfigurationError(f"dim and num_heads must be positive, got {self.dim}, {self.num_heads}")
+        for name, kind, least in (("dim", int, 1), ("num_heads", int, 1), ("decomposed", bool, None)):
+            object.__setattr__(self, name, require_kind(f"masa {name}", getattr(self, name), kind, least))
         if self.dim % self.num_heads:
             raise ConfigurationError(f"dim {self.dim} is not divisible by num_heads {self.num_heads}")
         if not isinstance(self.decay, tuple):

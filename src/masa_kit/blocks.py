@@ -37,10 +37,11 @@ DOWNSAMPLE_KERNEL = 3
 # Configuration
 
 
-# The config document's stage keys in document order: (key, StageConfig field, kind).
-_STAGE_KEYS = (("blocks", "num_blocks", int), ("channels", "channels", int), ("heads", "heads", int),
-               ("ffn_ratio", "ffn_ratio", float), ("decay_a", "decay_lower", float),
-               ("decay_b", "decay_upper", float), ("decomposed", "decomposed", bool))
+# The config document's stage keys in document order: (key, StageConfig field, kind, floor).
+_STAGE_KEYS = (("blocks", "num_blocks", int, 1), ("channels", "channels", int, 1),
+               ("heads", "heads", int, 1), ("ffn_ratio", "ffn_ratio", float, None),
+               ("decay_a", "decay_lower", float, None), ("decay_b", "decay_upper", float, None),
+               ("decomposed", "decomposed", bool, None))
 
 
 @dataclass(frozen=True)
@@ -54,14 +55,8 @@ class StageConfig:
     decomposed: bool
 
     def __post_init__(self) -> None:
-        for _, name, kind in _STAGE_KEYS:
-            object.__setattr__(self, name, require_kind(f"stage {name}", getattr(self, name), kind))
-        if self.num_blocks < 1:
-            raise ConfigurationError(f"a stage needs at least one block, got {self.num_blocks}")
-        if self.heads < 1:
-            raise ConfigurationError(f"a stage needs at least one head, got {self.heads}")
-        if self.channels < 1:
-            raise ConfigurationError(f"a stage needs at least one channel, got channels={self.channels}")
+        for _, name, kind, least in _STAGE_KEYS:
+            object.__setattr__(self, name, require_kind(f"stage {name}", getattr(self, name), kind, least))
         if self.channels % self.heads:
             raise ConfigurationError(f"channels {self.channels} not divisible by heads {self.heads}")
         try:
@@ -85,22 +80,20 @@ class ModelConfig:
     input_resolution: int
 
     def __post_init__(self) -> None:
-        for name in ("num_classes", "input_resolution"):
-            object.__setattr__(self, name, require_integer(f"model {name}", getattr(self, name)))
+        for name, least in (("num_classes", 1), ("input_resolution", None)):
+            object.__setattr__(self, name, require_integer(f"model {name}", getattr(self, name), least))
         if len(self.stages) != 4:
             raise ConfigurationError(f"the backbone has exactly four stages, got {len(self.stages)}")
         for stage in self.stages:
             if not isinstance(stage, StageConfig):
                 raise ConfigurationError(f"each stage must be a StageConfig, got {stage!r}")
-        if self.num_classes < 1:
-            raise ConfigurationError(f"num_classes must be positive, got {self.num_classes}")
         stage_grids(self, self.input_resolution)
         if self.stages[0].channels % 2:
             raise ConfigurationError("stage-1 channels must be even for the stem")
 
     def to_json_dict(self) -> dict:
         return {
-            "stages": [{key: getattr(s, name) for key, name, _ in _STAGE_KEYS} for s in self.stages],
+            "stages": [{key: getattr(s, name) for key, name, _, _ in _STAGE_KEYS} for s in self.stages],
             "num_classes": self.num_classes,
             "input_resolution": self.input_resolution,
         }
@@ -111,7 +104,7 @@ class ModelConfig:
     @staticmethod
     def from_json_dict(doc: dict) -> "ModelConfig":
         """Parse a config document; a missing key or a bad value raises ``ConfigurationError``."""
-        stages = tuple(StageConfig(**{name: _field(s, key, kind) for key, name, kind in _STAGE_KEYS})
+        stages = tuple(StageConfig(**{name: _field(s, key, kind) for key, name, kind, _ in _STAGE_KEYS})
                        for s in _field(doc, "stages", list))
         return ModelConfig(stages=stages, num_classes=_field(doc, "num_classes", int),
                            input_resolution=_field(doc, "input_resolution", int))
@@ -122,30 +115,24 @@ class ModelConfig:
 
 
 def _field(doc, key: str, kind: type):
-    """``doc[key]`` as ``kind``, naming the key in the error when it is missing or bad.
+    """``doc[key]`` checked by ``require_kind`` under the name ``key``; float fields come back as ``float``.
 
-    Values are checked, not cast: a bool must be JSON true or false, an int an
-    integral number other than a bool, and a float any number other than a bool.
+    Only JSON's own rules live here: ``doc`` must be an object holding ``key``, ``stages`` a list,
+    and since JSON has one number type, an integral float counts as an integer.
     """
     if not isinstance(doc, dict):
         raise ConfigurationError(f"expected a JSON object holding {key!r}, got {type(doc).__name__}")
     if key not in doc:
         raise ConfigurationError(f"missing key {key!r}")
     value = doc[key]
-    if isinstance(value, bool):
-        ok = kind is bool
-    elif kind is int:
-        ok = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    elif kind is float:
-        ok = isinstance(value, (int, float))
-    else:
-        ok = isinstance(value, kind)
-    if ok:
-        try:
-            return kind(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise ConfigurationError(f"key {key!r} must be {kind.__name__}, got {value!r}")
+    if kind is list:
+        if not isinstance(value, list):
+            raise ConfigurationError(f"key {key!r} must be list, got {value!r}")
+        return value
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    value = require_kind(f"key {key!r}", value, kind)
+    return float(value) if kind is float else value
 
 
 # Named presets: blocks, channels, heads, ffn ratios, decay exponent ranges.
@@ -326,8 +313,7 @@ def build_backbone(config: ModelConfig, seed: int) -> Model:
     Projections and conv kernels draw truncated-normal values (sigma ``INIT_STD``),
     biases start at zero, and norm gains at one.
     """
-    if require_integer("model seed", seed) < 0:
-        raise ConfigurationError(f"model seed must be non-negative, got {seed}")
+    require_integer("model seed", seed, 0)
     rng = np.random.default_rng(seed)
 
     def zeros(*shape):

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _threads, attention, blocks, decay, train
-from .errors import ConfigurationError, MasaKitError
+from .errors import ConfigurationError, MasaKitError, require_integer
 from .tensor import Tensor, count_macs
 
 MAX_BENCH_SIDE = 96
@@ -123,12 +123,10 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         raise MasaKitError(f"--sides must be comma-separated integers, got {args.sides!r}") from None
     if not sides:
         raise MasaKitError("--sides names no grid side")
-    if any(s < 2 for s in sides):
-        raise MasaKitError("benchmark sides must be at least 2")
-    if args.head_dim < 1:
-        raise MasaKitError(f"--head-dim must be positive, got {args.head_dim}")
-    if args.repeats < 3:
-        raise MasaKitError(f"need at least 3 repeats for a stable median, got {args.repeats}")
+    for side in sides:
+        require_integer("--sides", side, 2)
+    require_integer("--head-dim", args.head_dim, 1)
+    require_integer("--repeats", args.repeats, 3)  # fewer gives no stable median
     _check_writable(Path(args.out))
     capped = [min(s, MAX_BENCH_SIDE) for s in sides]
     if capped != sides:
@@ -166,9 +164,8 @@ def cmd_scaling(args: argparse.Namespace) -> int:
 
 
 def cmd_train_demo(args: argparse.Namespace) -> int:
-    for flag, value in (("--steps", args.steps), ("--samples", args.samples)):
-        if value < 1:
-            raise MasaKitError(f"{flag} must be positive, got {value}")
+    require_integer("--steps", args.steps, 1)
+    require_integer("--samples", args.samples, 1)
     _check_writable(Path(args.out))
     model_config = blocks.preset_config("tiny")
     data_config = train.DataConfig(seed=args.seed, n=args.samples,
@@ -237,8 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _threads.workers()  # a bad MASA_KIT_THREADS is refused before any work
         args = build_parser().parse_args(argv)
-        if getattr(args, "seed", 0) < 0:
-            raise MasaKitError(f"--seed must be non-negative, got {args.seed}")
+        require_integer("--seed", getattr(args, "seed", 0), 0)
         code = args.func(args)
         sys.stdout.flush()  # a closed reader shows up here, not at interpreter exit
         return code

@@ -52,11 +52,9 @@ def gamma_schedule(lower: float, upper: float, num_heads: int) -> tuple[float, .
     """
     require_kind("lower", lower, float)
     require_kind("upper", upper, float)
-    num_heads = require_integer("num_heads", num_heads)
+    num_heads = require_integer("num_heads", num_heads, 1)
     if not (0.0 < lower < upper):
         raise ConfigurationError(f"need 0 < lower < upper, got lower={lower}, upper={upper}")
-    if num_heads < 1:
-        raise ConfigurationError(f"num_heads must be at least 1, got {num_heads}")
     exponents = [lower + (upper - lower) * i / num_heads for i in range(1, num_heads + 1)]
     exponents[-1] = upper  # keep the endpoint exact despite float rounding
     return tuple(_check_gamma(1.0 - 2.0 ** -float(e), f" from lower={lower}, upper={upper}")
@@ -75,9 +73,7 @@ def _check_gamma(gamma: float, source: str = "") -> float:
 def decay_causal_1d(length: int, gamma: float) -> Tensor:
     """Lower-triangular decay: D[n, m] = gamma**(n - m) for n >= m, else 0."""
     gamma = _check_gamma(gamma)
-    length = require_integer("length", length)
-    if length < 1:
-        raise ConfigurationError(f"length must be positive, got {length}")
+    length = require_integer("length", length, 1)
     n = np.arange(length)
     delta = n[:, None] - n[None, :]
     d = np.where(delta >= 0, gamma ** np.maximum(delta, 0), 0.0)
@@ -87,9 +83,7 @@ def decay_causal_1d(length: int, gamma: float) -> Tensor:
 def decay_bidirectional_1d(length: int, gamma: float) -> Tensor:
     """Symmetric decay with unit diagonal: D[n, m] = gamma**|n - m|."""
     gamma = _check_gamma(gamma)
-    length = require_integer("length", length)
-    if length < 1:
-        raise ConfigurationError(f"length must be positive, got {length}")
+    length = require_integer("length", length, 1)
     n = np.arange(length)
     return Tensor(gamma ** np.abs(n[:, None] - n[None, :]))
 

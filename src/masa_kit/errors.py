@@ -26,23 +26,26 @@ class TrainingError(MasaKitError, RuntimeError):
 def require_integer(what: str, value, least: int | None = None) -> int:
     """``value`` as an ``int`` if it is an int or numpy integer (not a bool) of at least ``least``.
 
-    Anything else raises ``ConfigurationError`` naming ``what``.
+    The one statement of the integer rule and its count floors. A value of another kind raises
+    ``ConfigurationError`` "<what> must be an integer, got <value>"; one below ``least`` raises
+    "<what> must be at least <least>, got <value>".
     """
-    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if not integral or least is not None and value < least:
-        bound = "" if least is None else f" of at least {least}"
-        raise ConfigurationError(f"{what} must be an integer{bound}, got {value!r}")
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigurationError(f"{what} must be at least {least}, got {value}")
     return int(value)
 
 
-def require_kind(what: str, value, kind: type):
+def require_kind(what: str, value, kind: type, least: int | None = None):
     """``value`` checked as ``kind`` (int, float or bool), or ``ConfigurationError`` naming ``what``.
 
-    An int goes through ``require_integer``. A float is a real number in the float range but
-    not a bool, and comes back unchanged. A bool is a Python or numpy bool, and comes back as ``bool``.
+    An int goes through ``require_integer`` with the floor ``least``. A float is a real number in
+    the float range but not a bool, and comes back unchanged. A bool is a Python or numpy bool, and
+    comes back as ``bool``. The config types and the config reader state no kind rule of their own.
     """
     if kind is int:
-        return require_integer(what, value)
+        return require_integer(what, value, least)
     if kind is float:
         if isinstance(value, numbers.Real) and not isinstance(value, bool):
             try:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .blocks import Model, ModelConfig, build_backbone, forward_classify
-from .errors import ConfigurationError, TrainingError, UsageError, require_integer
+from .errors import ConfigurationError, TrainingError, UsageError, require_integer, require_kind
 from .tensor import Tensor, backward, cross_entropy, mul_scalar
 
 
@@ -35,11 +35,8 @@ class DataConfig:
     batch_size: int = 8
 
     def __post_init__(self) -> None:
-        for name in ("seed", "n", "resolution", "num_classes", "batch_size"):
-            object.__setattr__(self, name, require_integer(f"data {name}", getattr(self, name)))
-        for name, least in (("seed", 0), ("n", 1), ("num_classes", 1), ("batch_size", 1)):
-            if getattr(self, name) < least:
-                raise ConfigurationError(f"data {name} must be at least {least}, got {getattr(self, name)}")
+        for name, least in (("seed", 0), ("n", 1), ("resolution", 1), ("num_classes", 1), ("batch_size", 1)):
+            object.__setattr__(self, name, require_integer(f"data {name}", getattr(self, name), least))
 
 
 NOISE_STD = 0.1
@@ -88,6 +85,10 @@ class OptimState:
 
 
 def init_optim(params: Sequence[Tensor], lr: float = 1e-3, weight_decay: float = 0.05) -> OptimState:
+    if not math.isfinite(require_kind("optimizer lr", lr, float)) or lr <= 0:
+        raise ConfigurationError(f"optimizer lr must be finite and above 0, got {lr}")
+    if not math.isfinite(require_kind("optimizer weight_decay", weight_decay, float)) or weight_decay < 0:
+        raise ConfigurationError(f"optimizer weight_decay must be finite and at least 0, got {weight_decay}")
     return OptimState(lr=lr, weight_decay=weight_decay,
                       m=[np.zeros_like(p.data) for p in params],
                       v=[np.zeros_like(p.data) for p in params])
@@ -240,8 +241,8 @@ def finite_diff_gradcheck(fn: Callable[[Sequence[Tensor]], Tensor],
     floor at one percent of the largest gradient entry, so near-zero entries
     are compared at a scale double precision can resolve.
     """
-    if eps <= 0:
-        raise UsageError(f"eps must be positive, got {eps}")
+    if not math.isfinite(require_kind("eps", eps, float)) or eps <= 0:
+        raise UsageError(f"eps must be finite and above 0, got {eps}")
     tracked = [Tensor(t.data.copy(), requires_grad=True) for t in inputs]
     out = fn(tracked)
     if out.size != 1:

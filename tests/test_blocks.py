@@ -141,7 +141,7 @@ class TestFfn:
     @pytest.mark.parametrize("channels", [0, -32])
     def test_non_positive_channels_rejected(self, channels):
         # -32 with ffn_ratio -2 passes the divisibility and hidden-width checks
-        with pytest.raises(ConfigurationError, match="at least one channel, got channels="):
+        with pytest.raises(ConfigurationError, match=f"stage channels must be at least 1, got {channels}$"):
             StageConfig(num_blocks=1, channels=channels, heads=2, ffn_ratio=-2,
                         decay_lower=2, decay_upper=8, decomposed=True)
 
@@ -560,6 +560,26 @@ class TestConfigSerialization:
             assert all(type(getattr(s, f)) is int for f in ("num_blocks", "channels", "heads"))
             assert all(type(getattr(s, f)) is float for f in ("ffn_ratio", "decay_lower", "decay_upper"))
             assert type(s.decomposed) is bool
+
+    @pytest.mark.parametrize("value", [np.int64(2), np.bool_(True), 2, 2.0, "2", None],
+                             ids=["np.int64", "np.bool_", "int", "float", "str", "None"])
+    @pytest.mark.parametrize("key,field", [
+        ("blocks", "num_blocks"), ("channels", "channels"), ("heads", "heads"), ("ffn_ratio", "ffn_ratio"),
+        ("decay_a", "decay_lower"), ("decay_b", "decay_upper"), ("decomposed", "decomposed")])
+    def test_reader_and_constructors_agree_on_every_stage_value(self, key, field, value):
+        """The reader keeps the constructors' rules, plus JSON's own: an integral float is an integer."""
+        cfg = preset_config("tiny")
+        doc = cfg.to_json_dict()
+        doc["stages"][0][key] = value
+        if field in ("num_blocks", "channels", "heads") and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        try:
+            expected = replace(cfg, stages=(replace(cfg.stages[0], **{field: value}),) + cfg.stages[1:])
+        except ConfigurationError:
+            with pytest.raises(ConfigurationError):
+                ModelConfig.from_json_dict(doc)
+        else:
+            assert ModelConfig.from_json_dict(doc) == expected
 
     def test_wrong_stage_count_rejected(self):
         stage = StageConfig(num_blocks=1, channels=4, heads=2, ffn_ratio=1,

@@ -165,11 +165,13 @@ class TestScaling:
         code = run_cli("scaling", "--sides", "1,4", "--repeats", "3",
                        "--out", str(tmp_path / "b.csv"))
         assert code != 0
+        assert capsys.readouterr().err == "error: --sides must be at least 2, got 1\n"
 
-    def test_too_few_repeats_rejected(self, tmp_path):
+    def test_too_few_repeats_rejected(self, tmp_path, capsys):
         code = run_cli("scaling", "--sides", "4", "--repeats", "2",
                        "--out", str(tmp_path / "b.csv"))
         assert code != 0
+        assert capsys.readouterr().err == "error: --repeats must be at least 3, got 2\n"
 
     def test_stable_apart_from_wall_time(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -238,10 +240,10 @@ _CONFIG = ["model-stats", "--config", "{dir}/cfg.json"]
                  "cfg.json", id="config-nan-decay-bound"),
     pytest.param(["scaling", "--sides", "a,b", "--out", "{dir}/b.csv"], None, "--sides",
                  id="scaling-non-numeric-sides"),
-    pytest.param(["scaling", "--head-dim", "0", "--out", "{dir}/b.csv"], None, "--head-dim",
-                 id="scaling-zero-head-dim"),
-    pytest.param(["scaling", "--head-dim", "-3", "--out", "{dir}/b.csv"], None, "--head-dim",
-                 id="scaling-negative-head-dim"),
+    pytest.param(["scaling", "--head-dim", "0", "--out", "{dir}/b.csv"], None,
+                 "--head-dim must be at least 1, got 0", id="scaling-zero-head-dim"),
+    pytest.param(["scaling", "--head-dim", "-3", "--out", "{dir}/b.csv"], None,
+                 "--head-dim must be at least 1, got -3", id="scaling-negative-head-dim"),
     pytest.param(["scaling", "--modes", "", "--out", "{dir}/b.csv"], None, "--modes",
                  id="scaling-empty-modes"),
     pytest.param(["scaling", "--modes", " , ", "--out", "{dir}/b.csv"], None, "--modes",
@@ -250,16 +252,16 @@ _CONFIG = ["model-stats", "--config", "{dir}/cfg.json"]
                  id="scaling-empty-sides"),
     pytest.param(["train-demo", "--eval-interval", "0", "--out", "{dir}/m.csv"], None,
                  "eval_interval", id="train-demo-zero-eval-interval"),
-    pytest.param(["train-demo", "--steps", "-3", "--out", "{dir}/m.csv"], None, "--steps",
-                 id="train-demo-negative-steps"),
-    pytest.param(["train-demo", "--steps", "0", "--out", "{dir}/m.csv"], None, "--steps",
-                 id="train-demo-zero-steps"),
-    pytest.param(["train-demo", "--samples", "0", "--out", "{dir}/m.csv"], None, "--samples",
-                 id="train-demo-zero-samples"),
-    pytest.param(["train-demo", "--seed", "-1", "--out", "{dir}/m.csv"], None, "--seed",
-                 id="train-demo-negative-seed"),
-    pytest.param(["scaling", "--seed", "-1", "--out", "{dir}/b.csv"], None, "--seed",
-                 id="scaling-negative-seed"),
+    pytest.param(["train-demo", "--steps", "-3", "--out", "{dir}/m.csv"], None,
+                 "--steps must be at least 1, got -3", id="train-demo-negative-steps"),
+    pytest.param(["train-demo", "--steps", "0", "--out", "{dir}/m.csv"], None,
+                 "--steps must be at least 1, got 0", id="train-demo-zero-steps"),
+    pytest.param(["train-demo", "--samples", "0", "--out", "{dir}/m.csv"], None,
+                 "--samples must be at least 1, got 0", id="train-demo-zero-samples"),
+    pytest.param(["train-demo", "--seed", "-1", "--out", "{dir}/m.csv"], None,
+                 "--seed must be at least 0, got -1", id="train-demo-negative-seed"),
+    pytest.param(["scaling", "--seed", "-1", "--out", "{dir}/b.csv"], None,
+                 "--seed must be at least 0, got -1", id="scaling-negative-seed"),
     pytest.param(["dump-decay", "--height", "x", "--width", "2", "--gamma", "0.5",
                   "--out", "{dir}/d.csv"], None, "--height", id="usage-non-numeric-height"),
     pytest.param(["scaling"], None, "--out", id="usage-missing-required-flag"),

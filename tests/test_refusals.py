@@ -5,12 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from masa_kit import (ConfigurationError, DataConfig, DimensionError, GridShape, MaSAConfig, Tensor,
-                      UsageError, adamw_step, attention_score_apply_macs, build_backbone, concat, conv2d,
-                      conv_stem, decay_bidirectional_1d, decay_causal_1d, depthwise_conv2d,
-                      gamma_schedule, init_masa_params, init_optim, cross_entropy, masa_layer_forward,
-                      matmul, mean_axes, normalize, preset_config, reshape, slice_axis, synth_dataset,
-                      train_loop)
+from masa_kit import (ConfigurationError, DataConfig, DimensionError, GridShape, MaSAConfig, ModelConfig,
+                      Tensor, UsageError, adamw_step, attention_score_apply_macs, build_backbone, concat,
+                      conv2d, conv_stem, decay_bidirectional_1d, decay_causal_1d, depthwise_conv2d,
+                      finite_diff_gradcheck, gamma_schedule, init_masa_params, init_optim, cross_entropy,
+                      masa_layer_forward, matmul, mean_axes, normalize, preset_config, reshape, slice_axis,
+                      synth_dataset, train_loop)
 from masa_kit.attention import token_image
 from masa_kit.train import init_train_state, train_step
 
@@ -39,6 +39,16 @@ def _masa(**changes):
 
 def _train_state(steps=1):
     return init_train_state(preset_config("tiny"), _data(n=2), steps)
+
+
+def _tiny_doc(change):
+    doc = preset_config("tiny").to_json_dict()
+    change(doc)
+    return lambda: ModelConfig.from_json_dict(doc)
+
+
+def _never_called(inputs):
+    raise AssertionError("the closure ran before eps was checked")
 
 
 def _adamw_with_a_missing_gradient():
@@ -78,7 +88,7 @@ REFUSALS = {
     "conv2d-empty": (lambda: conv2d(zeros(2, 2, 1), zeros(5, 5, 1, 1), zeros(1), 1, 0),
                      DimensionError, "output would be empty"),
     "masa-config-dim": (lambda: MaSAConfig(dim=0, num_heads=1, decomposed=False, decay=(0.5,)),
-                        ConfigurationError, "dim and num_heads must be positive"),
+                        ConfigurationError, "masa dim must be at least 1, got 0"),
     "token-image-grid": (lambda: token_image(zeros(5, 4), GridShape(2, 2)), DimensionError,
                          "filling a 2x2 grid"),
     "masa-layer-tokens": (_layer_with_five_tokens_on_a_2x2_grid, DimensionError,
@@ -154,6 +164,50 @@ REFUSALS = {
                           "steps must be an integer, got 2.5"),
     "train-step-float-batch": (lambda: train_step(_train_state(), 2.5), ConfigurationError,
                                "batch_size must be an integer, got 2.5"),
+    "stage-zero-blocks": (lambda: _stage(num_blocks=0), ConfigurationError,
+                          "stage num_blocks must be at least 1, got 0"),
+    "stage-zero-heads": (lambda: _stage(heads=0), ConfigurationError,
+                         "stage heads must be at least 1, got 0"),
+    "masa-zero-heads": (lambda: _masa(num_heads=0), ConfigurationError,
+                        "masa num_heads must be at least 1, got 0"),
+    "model-zero-classes": (lambda: replace(preset_config("tiny"), num_classes=0), ConfigurationError,
+                           "model num_classes must be at least 1, got 0"),
+    "model-negative-seed": (lambda: build_backbone(preset_config("tiny"), -1), ConfigurationError,
+                            "model seed must be at least 0, got -1"),
+    "schedule-zero-heads": (lambda: gamma_schedule(2, 6, 0), ConfigurationError,
+                            "num_heads must be at least 1, got 0"),
+    "causal-zero-length": (lambda: decay_causal_1d(0, 0.5), ConfigurationError,
+                           "length must be at least 1, got 0"),
+    "bidirectional-zero-length": (lambda: decay_bidirectional_1d(0, 0.5), ConfigurationError,
+                                  "length must be at least 1, got 0"),
+    "reader-fractional-blocks": (_tiny_doc(lambda d: d["stages"][0].update(blocks=2.7)), ConfigurationError,
+                                 "key 'blocks' must be an integer, got 2.7"),
+    "reader-zero-blocks": (_tiny_doc(lambda d: d["stages"][0].update(blocks=0.0)), ConfigurationError,
+                           "stage num_blocks must be at least 1, got 0"),
+    "reader-str-decomposed": (_tiny_doc(lambda d: d["stages"][0].update(decomposed="false")),
+                              ConfigurationError, "key 'decomposed' must be a bool, got 'false'"),
+    "reader-object-stages": (_tiny_doc(lambda d: d.update(stages={})), ConfigurationError,
+                             "key 'stages' must be list, got {}"),
+    "data-zero-resolution": (lambda: _data(resolution=0), ConfigurationError,
+                             "data resolution must be at least 1, got 0"),
+    "data-negative-resolution": (lambda: _data(resolution=-5), ConfigurationError,
+                                 "data resolution must be at least 1, got -5"),
+    "gradcheck-bool-eps": (lambda: finite_diff_gradcheck(_never_called, [zeros(1)], eps=True),
+                           ConfigurationError, "eps must be a real number in the float range, got True"),
+    "gradcheck-str-eps": (lambda: finite_diff_gradcheck(_never_called, [zeros(1)], eps="a"),
+                          ConfigurationError, "eps must be a real number in the float range, got 'a'"),
+    "gradcheck-nan-eps": (lambda: finite_diff_gradcheck(_never_called, [zeros(1)], eps=float("nan")),
+                          UsageError, "eps must be finite and above 0, got nan"),
+    "gradcheck-inf-eps": (lambda: finite_diff_gradcheck(_never_called, [zeros(1)], eps=float("inf")),
+                          UsageError, "eps must be finite and above 0, got inf"),
+    "optim-nan-lr": (lambda: init_optim([], lr=float("nan")), ConfigurationError,
+                     "optimizer lr must be finite and above 0, got nan"),
+    "optim-zero-lr": (lambda: init_optim([], lr=0.0), ConfigurationError,
+                      "optimizer lr must be finite and above 0, got 0.0"),
+    "optim-negative-weight-decay": (lambda: init_optim([], weight_decay=-0.1), ConfigurationError,
+                                    "optimizer weight_decay must be finite and at least 0, got -0.1"),
+    "optim-inf-weight-decay": (lambda: init_optim([], weight_decay=float("inf")), ConfigurationError,
+                               "optimizer weight_decay must be finite and at least 0, got inf"),
 }
 
 
