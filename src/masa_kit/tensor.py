@@ -8,19 +8,28 @@ convolutions, each with a hand-written adjoint. Feature maps are channels-last,
 operation that returns successfully yields finite values; NaN or Inf raises
 ``UsageError``.
 
-An op's result is a node holding one edge per tracked parent: the parent and the
-vector-Jacobian product (vjp) giving that parent's gradient. ``backward`` alone
-sums gradients and frees them; after it, only leaves keep a ``grad``.
+A tracked tensor owns a gradient record: its ``grad``, the name of the op that
+made it, and one edge per tracked parent, the parent's record and the
+vector-Jacobian product (vjp) giving that parent's gradient. The record refers
+back to its tensor only weakly, and each vjp keeps only the arrays it reads, so
+the tape keeps a value only while an adjoint or the caller holds it: an output
+whose consumers need only its shape (``add``, ``reshape``, ``transpose``, ...)
+is freed as soon as the caller drops it, during the forward. ``backward``
+alone sums gradients and frees them; after it, only leaves keep a ``grad``.
 
-A ``Tensor`` is immutable after construction except for gradient population,
-and a gradient tape must stay on the thread that built it. Multiply-accumulate
-counts for matmul, linear, attention and convolution ops can be captured with
-``count_macs``.
+``tape_for(root).records`` lists every record reaching ``root`` in topological
+order, and ``.nodes`` the tensors among them that are still alive, so the
+values the tape really holds.
+
+A ``Tensor``'s data is immutable after construction, and a gradient tape must
+stay on the thread that built it. Multiply-accumulate counts for matmul,
+linear, attention and convolution ops can be captured with ``count_macs``.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -65,24 +74,56 @@ def _record_macs(n: int) -> None:
         counter.total += n
 
 
+Vjp = Callable[[np.ndarray], np.ndarray]
+
+
+class GradRecord:
+    """The gradient state of one tracked tensor, apart from its value.
+
+    ``op`` names the op that made the tensor ("leaf" for one built directly),
+    ``edges`` holds one (parent record, vjp) pair per tracked parent, ``grad``
+    is filled by ``backward``, and ``done`` marks a loss that has run it.
+    ``tensor()`` is the tensor, or None once nothing else holds it.
+    """
+
+    __slots__ = ("op", "edges", "grad", "done", "tensor")
+
+    def __init__(self, tensor: Tensor, op: str, edges: tuple[tuple[GradRecord, Vjp], ...]) -> None:
+        self.op = op
+        self.edges = edges
+        self.grad: np.ndarray | None = None
+        self.done = False
+        self.tensor = weakref.ref(tensor)
+
+
 class Tensor:
     """Row-major float64 array with optional gradient tracking.
 
     ``data`` must not be mutated after construction; optimizers replace the
-    array wholesale between training steps instead of writing in place.
+    array wholesale between training steps instead of writing in place. A
+    tracked tensor's gradient state lives in its ``GradRecord``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_edges", "_done")
+    __slots__ = ("data", "_record", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False) -> None:
         arr = np.asarray(data, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise UsageError("tensor values must be finite (found NaN or Inf)")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._edges: tuple[tuple[Tensor, Callable[[np.ndarray], np.ndarray]], ...] = ()
-        self._done = False
+        self._record = GradRecord(self, "leaf", ()) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._record is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._record is None else self._record.grad
+
+    @property
+    def _edges(self) -> tuple[tuple[GradRecord, Vjp], ...]:
+        return () if self._record is None else self._record.edges
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -102,7 +143,8 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
-        self.grad = None
+        if self._record is not None:
+            self._record.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -124,11 +166,16 @@ def _ensure(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _result(data: np.ndarray, *edges: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
-    """A node over ``data`` with each (parent, vjp) edge whose parent is tracked."""
-    edges = tuple(e for e in edges if e[0].requires_grad)
-    out = Tensor(data, requires_grad=bool(edges))
-    out._edges = edges
+def _result(op: str, data: np.ndarray, *edges: tuple[Tensor, Vjp]) -> Tensor:
+    """The tensor over ``data`` made by ``op``, with each (parent, vjp) edge whose parent is tracked.
+
+    Only the parents' records are kept, so a parent's value stays alive only
+    while a vjp or the caller holds it.
+    """
+    edges = tuple((p._record, vjp) for p, vjp in edges if p._record is not None)
+    out = Tensor(data)
+    if edges:
+        out._record = GradRecord(out, op, edges)
     return out
 
 
@@ -184,26 +231,34 @@ def _broadcast_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 @dataclass
 class GradTape:
-    """Topologically ordered record of the operations reaching a tensor.
+    """Topologically ordered gradient records reaching a tensor.
 
-    Replaying ``nodes`` in reverse propagates adjoints so that every tracked
+    Replaying ``records`` in reverse propagates adjoints so that every tracked
     leaf receives its gradient exactly once. Confined to one thread.
     """
 
-    nodes: list[Tensor]
+    records: list[GradRecord]
+
+    @property
+    def nodes(self) -> list[Tensor]:
+        """The tensors whose values the tape, or the caller, still holds, in tape order."""
+        return [t for t in (r.tensor() for r in self.records) if t is not None]
 
 
 def tape_for(root: Tensor) -> GradTape:
-    order: list[Tensor] = []
-    seen = {id(root)}
-    stack: list[tuple[Tensor, Iterator[tuple[Tensor, Callable]]]] = [(root, iter(root._edges))]
+    """The tape of ``root``: its record and every record it reaches, parents first; empty if untracked."""
+    if root._record is None:
+        return GradTape([])
+    order: list[GradRecord] = []
+    seen = {id(root._record)}
+    stack: list[tuple[GradRecord, Iterator[tuple[GradRecord, Vjp]]]] = [(root._record, iter(root._record.edges))]
     while stack:
         node, edges = stack[-1]
         pushed = False
         for p, _ in edges:
             if id(p) not in seen:
                 seen.add(id(p))
-                stack.append((p, iter(p._edges)))
+                stack.append((p, iter(p.edges)))
                 pushed = True
                 break
         if not pushed:
@@ -222,18 +277,19 @@ def backward(loss: Tensor) -> None:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise UsageError("loss is detached: it does not depend on any tracked tensor")
-    if loss._done:
+    root = loss._record
+    if root.done:
         raise UsageError("backward already ran from this tensor; rebuild the graph first")
     tape = tape_for(loss)
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
-        for parent, vjp in node._edges:
+    root.grad = np.ones_like(loss.data)
+    for node in reversed(tape.records):
+        for parent, vjp in node.edges:
             g = vjp(node.grad)
             # no gradient is written in place, so the first is kept as given, even a view
             parent.grad = g if parent.grad is None else parent.grad + g
-        if node._edges:
+        if node.edges:
             node.grad = None
-    loss._done = True
+    root.done = True
 
 
 # ---------------------------------------------------------------------------
@@ -243,22 +299,24 @@ def backward(loss: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _ensure(a), _ensure(b)
     _broadcast_shape(a, b, "add")
-    return _result(a.data + b.data, (a, lambda g: _unbroadcast(g, a.shape)),
-                   (b, lambda g: _unbroadcast(g, b.shape)))
+    a_shape, b_shape = a.shape, b.shape
+    return _result("add", a.data + b.data, (a, lambda g: _unbroadcast(g, a_shape)),
+                   (b, lambda g: _unbroadcast(g, b_shape)))
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; shapes must be equal or broadcastable."""
     a, b = _ensure(a), _ensure(b)
     _broadcast_shape(a, b, "hadamard")
-    return _result(a.data * b.data, (a, lambda g: _unbroadcast(g * b.data, a.shape)),
-                   (b, lambda g: _unbroadcast(g * a.data, b.shape)))
+    a_shape, b_shape = a.shape, b.shape
+    return _result("hadamard", a.data * b.data, (a, lambda g: _unbroadcast(g * b.data, a_shape)),
+                   (b, lambda g: _unbroadcast(g * a.data, b_shape)))
 
 
 def mul_scalar(a: Tensor, c: float) -> Tensor:
     a = _ensure(a)
     c = float(c)
-    return _result(a.data * c, (a, lambda g: g * c))
+    return _result("mul_scalar", a.data * c, (a, lambda g: g * c))
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -283,7 +341,7 @@ def gelu(a: Tensor) -> Tensor:
         out += cdf
         out *= g
         return out
-    return _result(a.data * cdf, (a, vjp))
+    return _result("gelu", a.data * cdf, (a, vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +362,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
     m, k, n = a.shape[-2], a.shape[-1], b.shape[-1]
     _record_macs(int(np.prod(data.shape[:-2], dtype=np.int64)) * m * k * n)
-    return _result(data, (a, lambda g: _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)),
-                   (b, lambda g: _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)))
+    a_shape, b_shape = a.shape, b.shape
+    return _result("matmul", data, (a, lambda g: _unbroadcast(g @ b.data.swapaxes(-1, -2), a_shape)),
+                   (b, lambda g: _unbroadcast(a.data.swapaxes(-1, -2) @ g, b_shape)))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -324,8 +383,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     data = x.data @ w.data
     data += b.data
     _record_macs(x.shape[0] * x.shape[1] * w.shape[1])
-    return _result(data, (x, lambda g: g @ w.data.T), (w, lambda g: x.data.T @ g),
-                   (b, lambda g: _unbroadcast(g, b.shape)))
+    b_shape = b.shape
+    return _result("linear", data, (x, lambda g: g @ w.data.T), (w, lambda g: x.data.T @ g),
+                   (b, lambda g: _unbroadcast(g, b_shape)))
 
 
 def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
@@ -333,7 +393,8 @@ def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     perm = _axes(a, axes, "transpose") if axes is not None else tuple(reversed(range(a.ndim)))
     if len(perm) != a.ndim:
         raise DimensionError(f"transpose: axes {tuple(axes)} do not permute the axes of shape {a.shape}")
-    return _result(a.data.transpose(perm).copy(), (a, lambda g: g.transpose(tuple(np.argsort(perm)))))
+    return _result("transpose", a.data.transpose(perm).copy(),
+                   (a, lambda g: g.transpose(tuple(np.argsort(perm)))))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -342,7 +403,8 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != a.size:
         raise DimensionError(f"cannot reshape {a.shape} into {shape}")
-    return _result(a.data.reshape(shape), (a, lambda g: g.reshape(a.shape)))
+    a_shape = a.shape
+    return _result("reshape", a.data.reshape(shape), (a, lambda g: g.reshape(a_shape)))
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -361,7 +423,8 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         index = [slice(None)] * data.ndim
         index[axis] = slice(start, stop)
         return lambda g: g[tuple(index)]
-    return _result(data, *((p, part(start, stop)) for p, start, stop in zip(parts, offsets[:-1], offsets[1:])))
+    return _result("concat", data,
+                   *((p, part(start, stop)) for p, start, stop in zip(parts, offsets[:-1], offsets[1:])))
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -371,12 +434,13 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         raise DimensionError(f"slice [{start}:{stop}] is out of range for axis {axis} of {a.shape}")
     index = [slice(None)] * a.ndim
     index[axis] = slice(start, stop)
+    a_shape = a.shape
 
     def vjp(g: np.ndarray) -> np.ndarray:
-        full = np.zeros_like(a.data)
+        full = np.zeros(a_shape)
         full[tuple(index)] = g
         return full
-    return _result(a.data[tuple(index)].copy(), (a, vjp))
+    return _result("slice_axis", a.data[tuple(index)].copy(), (a, vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +449,8 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     a = _ensure(a)
-    return _result(a.data.sum(), (a, lambda g: np.broadcast_to(g, a.shape).copy()))
+    a_shape = a.shape
+    return _result("sum_all", a.data.sum(), (a, lambda g: np.broadcast_to(g, a_shape).copy()))
 
 
 def _reciprocal_count(a: Tensor, axes: tuple[int, ...], op: str) -> float:
@@ -401,13 +466,14 @@ def mean_axes(a: Tensor, axes: tuple[int, ...], keepdims: bool = False) -> Tenso
     a = _ensure(a)
     axes = _axes(a, axes, "mean_axes")
     scale = _reciprocal_count(a, axes, "mean_axes")
+    a_shape = a.shape
 
     def vjp(g: np.ndarray) -> np.ndarray:
         g = g * scale
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return np.broadcast_to(g, a.shape).copy()
-    return _result(a.data.sum(axis=axes, keepdims=keepdims) * scale, (a, vjp))
+        return np.broadcast_to(g, a_shape).copy()
+    return _result("mean_axes", a.data.sum(axis=axes, keepdims=keepdims) * scale, (a, vjp))
 
 
 NORM_EPS = 1e-6
@@ -457,8 +523,9 @@ def normalize(x: Tensor, axes: tuple[int, ...], gain: Tensor, bias: Tensor) -> T
             grads[0] = gx
         return grads
     take = _one_pass(adjoint)  # dx and dgain share the rebuilt x_hat
-    return _result(data, (x, lambda g: take(0, g)), (gain, lambda g: take(1, g)),
-                   (bias, lambda g: _unbroadcast(g, bias.shape)))
+    bias_shape = bias.shape
+    return _result("normalize", data, (x, lambda g: take(0, g)), (gain, lambda g: take(1, g)),
+                   (bias, lambda g: _unbroadcast(g, bias_shape)))
 
 
 def softmax_last(a: Tensor) -> Tensor:
@@ -469,7 +536,7 @@ def softmax_last(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
-    return _result(s, (a, lambda g: s * (g - (g * s).sum(axis=-1, keepdims=True))))
+    return _result("softmax_last", s, (a, lambda g: s * (g - (g * s).sum(axis=-1, keepdims=True))))
 
 
 def cross_entropy(logits: Tensor, label: int) -> Tensor:
@@ -488,7 +555,7 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
         out = np.exp(y) * g
         out[label] -= g
         return out
-    return _result(-y[label], (logits, vjp))
+    return _result("cross_entropy", -y[label], (logits, vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +690,8 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
         return {i: grad for i, grad in enumerate((dq, dk, dv)) if grad is not None}
 
     take = _one_pass(adjoint)  # dq, dk and dv share each block's rebuilt weights
-    return _result(data, (q, lambda g: take(0, g)), (k, lambda g: take(1, g)), (v, lambda g: take(2, g)))
+    return _result("decayed_attention", data, (q, lambda g: take(0, g)), (k, lambda g: take(1, g)),
+                   (v, lambda g: take(2, g)))
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +741,7 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
 
     def vjp_kernel(g: np.ndarray) -> np.ndarray:
         return np.einsum("hwc,hwijc->ijc", g, _windows(x.data, k, pad))
-    return _result(data, (x, vjp_x), (kernel, vjp_kernel))
+    return _result("depthwise_conv2d", data, (x, vjp_x), (kernel, vjp_kernel))
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -> Tensor:
@@ -718,7 +786,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -
     def vjp_weight(g: np.ndarray) -> np.ndarray:
         # (g^T cols)^T runs faster than cols^T g on the tall im2col matrices of the stem
         return (g.reshape(ho * wo, cout).T @ im2col()).T.reshape(weight.shape)
-    return _result(data, (weight, vjp_weight), (x, vjp_x), (bias, lambda g: g.sum(axis=(0, 1))))
+    return _result("conv2d", data, (weight, vjp_weight), (x, vjp_x), (bias, lambda g: g.sum(axis=(0, 1))))
 
 
 # ---------------------------------------------------------------------------

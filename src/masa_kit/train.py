@@ -95,7 +95,12 @@ def init_optim(params: Sequence[Tensor], lr: float = 1e-3, weight_decay: float =
 
 
 def adamw_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: OptimState) -> None:
-    """One bias-corrected moment update with weight decay applied directly to weights."""
+    """One bias-corrected moment update with weight decay applied directly to weights.
+
+    m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g are updated in place,
+    and p becomes p * (1 - lr * weight_decay) - lr * (m / bc1) / (sqrt(v / bc2) + eps),
+    a new array, with each expression evaluated in that order through one scratch buffer.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise UsageError(f"got {len(params)} params, {len(grads)} grads, {len(state.m)} accumulators")
     state.step += 1
@@ -105,12 +110,21 @@ def adamw_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Opt
     for i, (p, g) in enumerate(zip(params, grads)):
         if g.shape != p.data.shape:
             raise UsageError(f"gradient shape {g.shape} does not match parameter shape {p.data.shape}")
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        p.data = (p.data * (1.0 - state.lr * state.weight_decay)
-                  - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+        m, v, scratch = state.m[i], state.v[i], np.empty_like(p.data)
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=scratch)
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=scratch)
+        scratch *= g
+        v += scratch
+        new = np.divide(m, bc1)
+        new *= state.lr
+        np.divide(v, bc2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPS
+        new /= scratch
+        np.multiply(p.data, 1.0 - state.lr * state.weight_decay, out=scratch)
+        p.data = np.subtract(scratch, new, out=new)
 
 
 def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:

@@ -246,8 +246,8 @@ class TestMasaDecomposed:
         rng = np.random.default_rng(40)
         grid = GridShape(2, 3)
         q, k, v = (Tensor(rng.standard_normal((grid.size, 4)), requires_grad=True) for _ in range(3))
-        nodes = tape_for(masa_decomposed(q, k, v, grid, 0.8)).nodes
-        ops = sorted(n._edges[0][1].__qualname__.split(".")[0] for n in nodes if n._edges)
+        records = tape_for(masa_decomposed(q, k, v, grid, 0.8)).records
+        ops = sorted(r.op for r in records if r.edges)
         assert ops == ["decayed_attention"] * 2 + ["reshape"] * 4 + ["transpose"] * 4
 
     def test_tall_strip_equals_full_form(self):
@@ -387,6 +387,35 @@ class TestMasaLayer:
                                 local[c, i, j] += kw[di, dj, c] * image[c, ii, jj]
         expected = (attn + local.reshape(4, 4).T) @ params.wo.data
         assert np.max(np.abs(out.data - expected)) < 1e-12
+
+    @pytest.mark.parametrize("decomposed", [False, True], ids=["full", "decomposed"])
+    def test_a_second_loss_through_a_layer_whose_intermediates_were_freed_is_exact(
+            self, decomposed, keep_every_value):
+        # the values no adjoint reads (the projections before the head split, the grid swaps) are
+        # freed in the forward; two losses through that graph get the gradients of the same
+        # graph with every value kept, bit for bit
+        grid = GridShape(2, 3)
+        rng = np.random.default_rng(50)
+        config, params, x = _layer_setup(rng, dim=4, heads=2, decomposed=decomposed, grid=grid)
+        x = Tensor(x.data, requires_grad=True)
+        leaves = [x, params.wq, params.wk, params.wv, params.wo, params.lce_kernel_weights]
+        cot = rand(rng, grid.size, 4)
+
+        def grads(out):
+            for t in leaves:
+                t.zero_grad()
+            backward(sum_all(hadamard(out, cot)))
+            return [t.grad for t in leaves]
+        out = masa_layer_forward(x, params, config, grid)
+        keep_every_value.clear()  # now only the tape and the caller hold out's graph
+        tape = tape_for(out)
+        assert len(tape.nodes) < len(tape.records)
+        kept = masa_layer_forward(x, params, config, grid)
+        tape = tape_for(kept)
+        assert len(tape.nodes) == len(tape.records)
+        for first, second, held in zip(grads(out), grads(out), grads(kept)):
+            np.testing.assert_array_equal(first, second)
+            np.testing.assert_array_equal(first, held)
 
     def test_decomposed_layer_runs_and_matches_kernel_composition(self):
         rng = np.random.default_rng(20)
@@ -588,8 +617,9 @@ class TestDecayedAttention:
         grid = GridShape(3, 3)
         q, k, v = (Tensor(rng.standard_normal((grid.size, 4)), requires_grad=True) for _ in range(3))
         out = masa_full(q, k, v, grid, 0.8)
-        nodes = tape_for(sum_all(out)).nodes
-        assert len(nodes) == 5 and out in nodes and {p for p, _ in out._edges} == {q, k, v}
+        records = tape_for(sum_all(out)).records
+        assert len(records) == 5 and out._record in records and out._record.op == "decayed_attention"
+        assert {p for p, _ in out._edges} == {q._record, k._record, v._record}
 
     def test_forward_backward_memory_stays_far_below_the_n_by_n_arrays(self):
         # side 64: one 4096 x 4096 float64 array is 128 MB, and the composite step kept five

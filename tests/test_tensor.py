@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -106,7 +107,7 @@ def conv2d_adjoint_oracle(x, w, g, stride, pad):
 def _pow_oracle(a, p):
     """Elementwise a ** p as a tape op: the one primitive the composite oracle below needs
     that the library no longer has."""
-    return mk.tensor._result(a.data ** p, (a, lambda g: g * p * a.data ** (p - 1.0)))
+    return mk.tensor._result("pow", a.data ** p, (a, lambda g: g * p * a.data ** (p - 1.0)))
 
 
 def normalize_oracle(x, axes, gain, bias):
@@ -570,7 +571,7 @@ class TestBackward:
             raise AssertionError("vjp ran for a constant parent")
 
         a = Tensor(np.ones(2), requires_grad=True)
-        out = mk.tensor._result(a.data * 2, (Tensor(np.ones(2)), refuse), (a, lambda g: g * 2))
+        out = mk.tensor._result("double", a.data * 2, (Tensor(np.ones(2)), refuse), (a, lambda g: g * 2))
         assert len(out._edges) == 1
         backward(sum_all(out))
         np.testing.assert_array_equal(a.grad, np.full(2, 2.0))
@@ -578,6 +579,45 @@ class TestBackward:
     def test_non_finite_values_rejected(self):
         with pytest.raises(UsageError):
             Tensor([1.0, np.inf])
+
+
+class TestTapeHolds:
+    """An edge keeps its parent's gradient record, not its value."""
+
+    @pytest.mark.parametrize("consumer,op", [(mk.transpose, "transpose"), (lambda m: m + 1.0, "add")],
+                             ids=["transpose", "add"])
+    def test_a_matmul_output_that_only_a_shape_reader_consumes_is_freed(self, consumer, op):
+        rng = np.random.default_rng(60)
+        a, b = (Tensor(rng.standard_normal(s), requires_grad=True) for s in ((3, 4), (4, 5)))
+        m = matmul(a, b)
+        tensor_ref, data_ref = weakref.ref(m), weakref.ref(m.data)
+        out = consumer(m)
+        del m
+        assert tensor_ref() is None and data_ref() is None
+        # its record stays on the tape, so the gradients still pass through it
+        tape = mk.tape_for(out)
+        assert [r.op for r in tape.records] == ["leaf", "leaf", "matmul", op]
+        assert tape.nodes == [a, b, out]
+        backward(sum_all(out))
+        np.testing.assert_allclose(a.grad, np.ones((3, 5)) @ b.data.T, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(b.grad, a.data.T @ np.ones((3, 5)), rtol=0, atol=1e-14)
+
+    def test_a_value_the_caller_holds_stays_on_the_tape_with_its_data(self):
+        rng = np.random.default_rng(61)
+        a, b = (Tensor(rng.standard_normal(s), requires_grad=True) for s in ((3, 4), (4, 5)))
+        held = matmul(a, b)
+        value = held.data.copy()
+        loss = sum_all(held + mk.mul_scalar(matmul(a, b), 2.0))
+        tape = mk.tape_for(loss)
+        assert [r.op for r in tape.records] == ["leaf", "leaf", "matmul", "matmul", "mul_scalar", "add",
+                                                "sum_all"]
+        assert tape.nodes == [a, b, held, loss]
+        backward(loss)
+        np.testing.assert_array_equal(held.data, value)
+        assert held.requires_grad and held.grad is None
+
+    def test_an_untracked_root_has_an_empty_tape(self):
+        assert mk.tape_for(sum_all(Tensor(np.ones(3)))).records == []
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from masa_kit import (ConfigurationError, DataConfig, Tensor, TrainingError, UsageError,
                       adamw_step, backward, cross_entropy, hadamard, init_optim, preset_config,
                       sum_all, synth_dataset, train_loop)
+from masa_kit import train
 from masa_kit.train import (NOISE_STD, cosine_lr, evaluate, finite_diff_gradcheck,
                             init_train_state, train_step)
 
@@ -109,6 +110,31 @@ class TestAdamW:
         state = init_optim([p])
         with pytest.raises(UsageError):
             adamw_step([p], [np.zeros(3)], state)
+
+    def test_three_tiny_steps_equal_the_out_of_place_formula_bit_for_bit(self, monkeypatch):
+        # the moments are updated in place, so each step is checked against the formula
+        # written out on copies of the state it started from
+        b1, b2 = train.ADAM_BETAS
+        steps = []
+
+        def checked_step(params, grads, state):
+            t, lr, wd = state.step + 1, state.lr, state.weight_decay
+            m = [b1 * mi + (1.0 - b1) * g for mi, g in zip(state.m, grads)]
+            v = [b2 * vi + (1.0 - b2) * g * g for vi, g in zip(state.v, grads)]
+            want = [p.data * (1.0 - lr * wd) - lr * (mi / (1.0 - b1 ** t))
+                    / (np.sqrt(vi / (1.0 - b2 ** t)) + train.ADAM_EPS)
+                    for p, mi, vi in zip(params, m, v)]
+            adamw_step(params, grads, state)
+            for got, expected in ((state.m, m), (state.v, v), ([p.data for p in params], want)):
+                for a, b in zip(got, expected, strict=True):
+                    np.testing.assert_array_equal(a, b)
+            steps.append(t)
+        monkeypatch.setattr(train, "adamw_step", checked_step)
+        state = init_train_state(preset_config("tiny"),
+                                 DataConfig(seed=0, n=4, resolution=32, num_classes=2), steps=3)
+        for _ in range(3):
+            train_step(state, batch_size=2)
+        assert steps == [1, 2, 3]
 
 
 class TestCosineLr:
