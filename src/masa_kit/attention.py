@@ -117,16 +117,26 @@ def token_image(x: Tensor, grid: GridShape) -> Tensor:
     return reshape(x, x.shape[:-2] + (grid.height, grid.width, x.shape[-1]))
 
 
-def _swap_grid_axes(t: Tensor) -> Tensor:
-    """[..., H, W, d] -> [..., W, H, d]."""
-    n = t.ndim
-    return transpose(t, tuple(range(n - 3)) + (n - 2, n - 3, n - 1))
-
-
 def _check_rates(q: Tensor, gamma: float | tuple[float, ...] | None) -> None:
     if isinstance(gamma, tuple) and (q.ndim < 3 or q.shape[0] != len(gamma)):
         raise DimensionError(f"{len(gamma)} decay rates need a first (head) axis of that length "
                              f"before the [N, d] tokens, got {q.shape}")
+
+
+def _axial_factors(grid: GridShape, gamma: float | tuple[float, ...] | None,
+                   ndim: int) -> tuple[Tensor, Tensor] | None:
+    """``decay_axial_kernels`` of ``grid`` for ``decayed_attention`` on ``ndim``-axis inputs.
+
+    Per-head kernels [heads, 2n - 1] become [heads, 1, ..., 2n - 1], so that they
+    lead a batch of ndim - 2 axes whose first is the head axis.
+    """
+    if gamma is None:
+        return None
+    factors = decay_axial_kernels(grid, gamma)
+    if isinstance(gamma, tuple):
+        factors = tuple(Tensor(f.data.reshape(f.shape[:1] + (1,) * (ndim - 3) + f.shape[1:]))
+                        for f in factors)
+    return factors
 
 
 def masa_full(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
@@ -146,28 +156,28 @@ def masa_full(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
         raise DimensionError(f"expected [..., N, d] tokens filling a {grid.height}x{grid.width} grid, "
                              f"got {q.shape}")
     _check_rates(q, gamma)
-    factors = None if gamma is None else decay_axial_kernels(grid, gamma)
-    if isinstance(gamma, tuple):  # [heads, 2n - 1] -> [heads, 1, ..., 2n - 1] over the batch axes
-        factors = tuple(Tensor(f.data.reshape(f.shape[:1] + (1,) * (q.ndim - 3) + f.shape[1:]))
-                        for f in factors)
-    return decayed_attention(q, k, v, factors, 1.0 / math.sqrt(q.shape[-1]))
+    return decayed_attention(q, k, v, _axial_factors(grid, gamma, q.ndim), 1.0 / math.sqrt(q.shape[-1]))
 
 
 def masa_decomposed(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
                     gamma: float | tuple[float, ...] | None) -> Tensor:
-    """Axis-decomposed Manhattan attention: ``masa_full`` along each row, then each column.
+    """Axis-decomposed Manhattan attention: ``decayed_attention`` along each grid row, then each column.
 
     Takes q, k, v and ``gamma`` as ``masa_full`` does. Each axis applies softmax
     attention weighted by its own 1D decay matrix, the decay of a one-row grid.
     Because the 2D decay factors exactly over the axes, the spatial prior of
     the full form is preserved; with uniform attention weights the two forms
-    coincide.
+    coincide. Both passes attend over the same [..., H, W, d] images of q and k:
+    the row pass along the W axis, and the column pass along the H axis, with
+    the row pass's output as its v. No grid axis is swapped by a copy.
     """
     _check_rates(q, gamma)
     qi, ki, vi = (token_image(t, grid) for t in (q, k, v))
-    mixed = _swap_grid_axes(masa_full(qi, ki, vi, GridShape(1, grid.width), gamma))
-    out = masa_full(_swap_grid_axes(qi), _swap_grid_axes(ki), mixed, GridShape(1, grid.height), gamma)
-    return reshape(_swap_grid_axes(out), v.shape)
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    rows = decayed_attention(qi, ki, vi, _axial_factors(GridShape(1, grid.width), gamma, qi.ndim), scale)
+    out = decayed_attention(qi, ki, rows, _axial_factors(GridShape(1, grid.height), gamma, qi.ndim), scale,
+                            axis=-3)
+    return reshape(out, v.shape)
 
 
 def lce(v: Tensor, grid: GridShape, kernel: Tensor) -> Tensor:

@@ -320,7 +320,13 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact Gaussian error linear unit, 0.5 * x * (1 + erf(x / sqrt(2))).
+    """Exact Gaussian error linear unit, x * cdf with cdf = 0.5 * (1 + erf(x / sqrt(2))).
+
+    erf runs on |x| / sqrt(2) and its sign is copied back from x: scipy's erf is
+    exactly odd, so this is erf(x / sqrt(2)) bit for bit, and its sign branch
+    is never mispredicted. When ``a`` is tracked, the derivative cdf + x * pdf
+    is built in the forward, and the tape keeps only that array: the adjoint
+    is g times it, and neither x nor cdf stays alive for it.
 
     ``scipy.special`` is imported on the first call, not with the package, so a
     process that runs no GELU never pays that import, the largest part of
@@ -329,19 +335,24 @@ def gelu(a: Tensor) -> Tensor:
     from scipy.special import erf
 
     a = _ensure(a)
-    cdf = 0.5 * (1.0 + erf(a.data / _SQRT2))
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        # g * (cdf + x * pdf), bit for bit, in one fresh buffer
-        out = a.data * a.data
-        out *= -0.5
-        np.exp(out, out=out)
-        out *= _INV_SQRT_2PI
-        out *= a.data
-        out += cdf
-        out *= g
-        return out
-    return _result("gelu", a.data * cdf, (a, vjp))
+    x = a.data
+    cdf = np.abs(x)
+    cdf /= _SQRT2
+    erf(cdf, out=cdf)
+    np.copysign(cdf, x, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    data = x * cdf
+    if a._record is None:
+        return Tensor(data)
+    # cdf + x * pdf with pdf = exp(-x * x / 2) / sqrt(2 pi), in one buffer
+    deriv = x * x
+    deriv *= -0.5
+    np.exp(deriv, out=deriv)
+    deriv *= _INV_SQRT_2PI
+    deriv *= x
+    deriv += cdf
+    return _result("gelu", data, (a, lambda g: g * deriv))
 
 
 # ---------------------------------------------------------------------------
@@ -595,14 +606,18 @@ def _decay_in_place(w: np.ndarray, kernel: np.ndarray, start: int, stop: int) ->
 
 
 def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Tensor] | None,
-                      scale: float) -> Tensor:
+                      scale: float, axis: int = -2) -> Tensor:
     """softmax(scale * q k^T), times a decay D entrywise without renormalizing, applied to v.
 
-    ``q`` and ``k`` are [..., L, d] and ``v`` is [..., L, dv], with the same
-    leading (batch) axes. ``factors`` is None (no decay) or a pair of constant
-    axial kernels a [..., 2Ha-1] and b [..., 2Wb-1] with Ha * Wb = L, whose
-    leading axes broadcast to the batch. Key m sits at (x_m, y_m) =
-    (m % Wb, m // Wb) on an Ha x Wb grid, and
+    ``q`` and ``k`` are [..., L, ..., d] and ``v`` is [..., L, ..., dv], alike
+    but for the last (feature) axis. The tokens run along ``axis`` (by default
+    the one before the features), and every other axis but the last is a batch
+    axis, in order. The output, like each gradient, is in the input's own
+    layout: the work runs on views with the token axis moved next to the
+    features, so no copy is made to move it. ``factors`` is None (no decay) or
+    a pair of constant axial kernels a [..., 2Ha-1] and b [..., 2Wb-1] with
+    Ha * Wb = L, whose leading axes broadcast to the batch. Key m sits at
+    (x_m, y_m) = (m % Wb, m // Wb) on an Ha x Wb grid, and
     D[n, m] = a[y_m - y_n + Ha - 1] * b[x_m - x_n + Wb - 1].
 
     Query rows run in blocks of about ``ATTENTION_BLOCK_ELEMENTS`` logits. A
@@ -619,7 +634,16 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
     if q.ndim < 2 or k.shape != q.shape or v.ndim != q.ndim or v.shape[:-1] != q.shape[:-1]:
         raise DimensionError(f"decayed_attention needs q, k [..., L, d] and v [..., L, dv], "
                              f"got {q.shape}, {k.shape}, {v.shape}")
-    batch, length = q.shape[:-2], q.shape[-2]
+    axis = _axes(q, (axis,), "decayed_attention")[0]
+    if axis == q.ndim - 1:
+        raise DimensionError(f"decayed_attention: axis {axis} of {q.shape} is the feature axis, "
+                             f"not a token axis")
+
+    def tokens_last(t: np.ndarray) -> np.ndarray:
+        """A view of ``t`` with the token axis next to the last."""
+        return np.moveaxis(t, axis, -2)
+    qd, kd, vd = (tokens_last(t.data) for t in (q, k, v))
+    batch, length = qd.shape[:-2], qd.shape[-2]
     fa = fb = None
     if factors is not None:
         a, b = (_ensure(f) for f in factors)
@@ -636,12 +660,12 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
     def kernel() -> np.ndarray | None:
         """The [..., 2Ha-1, 2Wb-1] kernel product of a and b, built once per pass over the blocks."""
         return None if fa is None else fa[..., :, None] * fb[..., None, :]
-    qd, kd, vd = q.data, k.data, v.data
     kt = kd.swapaxes(-1, -2)
     n_batch = int(np.prod(batch, dtype=np.int64))
     blocks = _row_blocks(n_batch, length)
     data = np.empty(q.shape[:-1] + v.shape[-1:])
-    lse = np.empty(q.shape[:-1] + (1,))
+    out = tokens_last(data)
+    lse = np.empty(qd.shape[:-1] + (1,))
     kern = kernel()
     for start, stop in blocks:
         rows = (Ellipsis, slice(start, stop), slice(None))
@@ -652,18 +676,21 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
         z = e.sum(axis=-1, keepdims=True)
         if kern is not None:
             _decay_in_place(e, kern, start, stop)
-        np.divide(e @ vd, z, out=data[rows])
+        np.divide(e @ vd, z, out=out[rows])
         lse[rows] = peak + np.log(z)
     _record_macs(n_batch * length * length * (q.shape[-1] + v.shape[-1]))
 
     def adjoint(g: np.ndarray) -> dict[int, np.ndarray]:
-        dq = np.empty_like(qd) if q.requires_grad else None
-        dk = np.zeros_like(kd) if k.requires_grad else None
-        dv = np.zeros_like(vd) if v.requires_grad else None
+        dq = np.empty(q.shape) if q.requires_grad else None
+        dk = np.zeros(k.shape) if k.requires_grad else None
+        dv = np.zeros(v.shape) if v.requires_grad else None
+        grads = {i: grad for i, grad in enumerate((dq, dk, dv)) if grad is not None}
+        dq, dk, dv = (None if grad is None else tokens_last(grad) for grad in (dq, dk, dv))
         vt = vd.swapaxes(-1, -2)
         kern = kernel()
         # rowsum(dP * P) = rowsum(dW * W) = g . out per row, as rows are not renormalized
-        delta = (g * data).sum(axis=-1, keepdims=True)
+        delta = tokens_last((g * data).sum(axis=-1, keepdims=True))
+        g = tokens_last(g)
         for start, stop in blocks:
             rows = (Ellipsis, slice(start, stop), slice(None))
             p = (qd[rows] * scale) @ kt
@@ -687,7 +714,7 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
         for grad in (dq, dk):
             if grad is not None:
                 grad *= scale
-        return {i: grad for i, grad in enumerate((dq, dk, dv)) if grad is not None}
+        return grads
 
     take = _one_pass(adjoint)  # dq, dk and dv share each block's rebuilt weights
     return _result("decayed_attention", data, (q, lambda g: take(0, g)), (k, lambda g: take(1, g)),
@@ -748,10 +775,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -
     """2D cross-correlation plus a per-channel bias: [H,W,Cin] with [k,k,Cin,Cout] -> [Ho,Wo,Cout].
 
     Lowered to one matmul over an im2col matrix [Ho*Wo, k*k*Cin], the window view of
-    ``_windows`` flattened, whose columns run in (i, j, cin) order, so the gather and
-    the input adjoint's scatter move whole contiguous channel vectors; the weight, viewed
-    as [k*k*Cin, Cout], is the other operand. The tape keeps neither the im2col matrix
-    nor the padded input: the weight adjoint rebuilds the matrix from the input.
+    ``_windows`` flattened, whose columns run in (i, j, cin) order, so the gather moves
+    whole contiguous channel vectors; the weight, viewed as [k*k*Cin, Cout], is the
+    other operand. The tape keeps neither the im2col matrix nor the padded input. The
+    adjoints go tap by tap, so neither builds an im2col-sized array: the input adjoint
+    adds g @ weight[i, j]^T into tap (i, j)'s strided window of the padded gradient,
+    and the weight adjoint fills weight[i, j]'s gradient from g and the windows of
+    that tap, rebuilt from the input. Each entry sums the same Cout or Ho*Wo terms
+    as one matmul over the whole matrix; BLAS adds them in the same order on the
+    model's large matrices, while its small-matrix kernels may round differently.
     """
     x, weight, bias = _ensure(x), _ensure(weight), _ensure(bias)
     if x.ndim != 3 or weight.ndim != 4:
@@ -770,22 +802,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -
     if ho < 1 or wo < 1:
         raise DimensionError(f"conv2d output would be empty for input {x.shape}, k={k}, stride={s}, padding={p}")
 
-    def im2col() -> np.ndarray:
-        return _windows(x.data, k, p, s).reshape(ho * wo, k * k * cin)
-    data = (im2col() @ weight.data.reshape(-1, cout)).reshape(ho, wo, cout) + bias.data
+    data = (_windows(x.data, k, p, s).reshape(ho * wo, k * k * cin)
+            @ weight.data.reshape(-1, cout)).reshape(ho, wo, cout) + bias.data
     _record_macs(cout * ho * wo * cin * k * k)
+    taps = [(i, j) for i in range(k) for j in range(k)]
 
     def vjp_x(g: np.ndarray) -> np.ndarray:
-        dcols = (g.reshape(ho * wo, cout) @ weight.data.reshape(-1, cout).T).reshape(ho, wo, k, k, cin)
+        g2 = g.reshape(ho * wo, cout)
         gxp = np.zeros((h + 2 * p, w + 2 * p, cin))
-        for i in range(k):
-            for j in range(k):
-                gxp[i:i + s * ho:s, j:j + s * wo:s] += dcols[:, :, i, j]
+        for i, j in taps:
+            gxp[i:i + s * ho:s, j:j + s * wo:s] += (g2 @ weight.data[i, j].T).reshape(ho, wo, cin)
         return gxp[p:p + h, p:p + w]
 
     def vjp_weight(g: np.ndarray) -> np.ndarray:
-        # (g^T cols)^T runs faster than cols^T g on the tall im2col matrices of the stem
-        return (g.reshape(ho * wo, cout).T @ im2col()).T.reshape(weight.shape)
+        # (g^T window)^T keeps the operand order of (g^T im2col)^T, so each tap sums the same way
+        gt, windows = g.reshape(ho * wo, cout).T, _windows(x.data, k, p, s)
+        out = np.empty(weight.shape)
+        for i, j in taps:
+            out[i, j] = (gt @ windows[:, :, i, j].reshape(ho * wo, cin)).T
+        return out
     return _result("conv2d", data, (weight, vjp_weight), (x, vjp_x), (bias, lambda g: g.sum(axis=(0, 1))))
 
 

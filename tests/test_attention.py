@@ -242,13 +242,14 @@ class TestMasaDecomposed:
         expected = masa_decomposed_oracle(q, k, v, height, width, gamma)
         assert np.max(np.abs(out.data - expected)) < 1e-12
 
-    def test_two_d_input_keeps_its_ten_op_tape(self):
+    def test_two_d_input_keeps_its_six_op_tape(self):
+        # three token images, one pass along each grid axis, one reshape back: no transposes
         rng = np.random.default_rng(40)
         grid = GridShape(2, 3)
         q, k, v = (Tensor(rng.standard_normal((grid.size, 4)), requires_grad=True) for _ in range(3))
         records = tape_for(masa_decomposed(q, k, v, grid, 0.8)).records
         ops = sorted(r.op for r in records if r.edges)
-        assert ops == ["decayed_attention"] * 2 + ["reshape"] * 4 + ["transpose"] * 4
+        assert ops == ["decayed_attention"] * 2 + ["reshape"] * 4
 
     def test_tall_strip_equals_full_form(self):
         rng = np.random.default_rng(13)
@@ -391,8 +392,8 @@ class TestMasaLayer:
     @pytest.mark.parametrize("decomposed", [False, True], ids=["full", "decomposed"])
     def test_a_second_loss_through_a_layer_whose_intermediates_were_freed_is_exact(
             self, decomposed, keep_every_value):
-        # the values no adjoint reads (the projections before the head split, the grid swaps) are
-        # freed in the forward; two losses through that graph get the gradients of the same
+        # the values no adjoint reads (the projections before the head split) are freed in the
+        # forward; two losses through that graph get the gradients of the same
         # graph with every value kept, bit for bit
         grid = GridShape(2, 3)
         rng = np.random.default_rng(50)
@@ -673,6 +674,63 @@ class TestDecayedAttention:
         with pytest.raises(DimensionError) as info:
             decayed_attention(q, q, q, (a, b), 1.0)
         assert str(a.shape) in str(info.value) and str(b.shape) in str(info.value)
+
+
+def _attend_and_backward(q, k, v, factors, scale, cotangent, **axis):
+    """[out, dq, dk, dv] of one ``decayed_attention`` call weighted by ``cotangent``."""
+    tracked = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+    out = decayed_attention(*tracked, tuple(map(Tensor, factors)), scale, **axis)
+    backward(sum_all(hadamard(out, Tensor(cotangent))))
+    return [out.data] + [t.grad for t in tracked]
+
+
+class TestDecayedAttentionAxis:
+    """Attention along a token axis that is not the one next to the features."""
+
+    @staticmethod
+    def _column_case():
+        # [heads, H, W, d] images with H != W and one rate per head, attended along H
+        rng = np.random.default_rng(43)
+        heads, height, width = 3, 5, 4
+        arrays = [rng.standard_normal((heads, height, width, 6)) for _ in range(4)]
+        a, b = _kernels(1, height, gamma_schedule(2, 8, heads))
+        return arrays, (a[:, None], b[:, None]), 1 / math.sqrt(6)
+
+    @pytest.mark.parametrize("block_elements", [1 << 20, 7], ids=["one-block", "row-blocks"])
+    def test_along_the_height_axis_equals_the_swapped_copy_composition(self, monkeypatch,
+                                                                       block_elements):
+        monkeypatch.setattr(tensor_module, "ATTENTION_BLOCK_ELEMENTS", block_elements)
+        (q, k, v, cot), factors, scale = self._column_case()
+
+        def swap(a):
+            return np.ascontiguousarray(np.swapaxes(a, -2, -3))
+        along_axis = _attend_and_backward(q, k, v, factors, scale, cot, axis=-3)
+        swapped = _attend_and_backward(swap(q), swap(k), swap(v), factors, scale, swap(cot))
+        for got, want in zip(along_axis, swapped):
+            assert got.shape == q.shape
+            np.testing.assert_array_equal(got, np.swapaxes(want, -2, -3))
+
+    def test_gradcheck_along_the_height_axis(self):
+        (q, k, v, _), _, scale = self._column_case()
+        inputs = [Tensor(a[:, :3, :2, :2]) for a in (q, k, v)]
+        a, b = _kernels(1, 3, gamma_schedule(2, 8, 3))
+        err, _ = finite_diff_gradcheck(
+            lambda i: sum_all(decayed_attention(i[0], i[1], i[2], (Tensor(a[:, None]), Tensor(b[:, None])),
+                                                scale, axis=-3)), inputs, eps=1e-6)
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("axis", [4, -5, 3, -1], ids=["past-the-end", "before-the-start",
+                                                          "feature", "feature-negative"])
+    def test_an_axis_that_is_no_token_axis_rejected(self, axis):
+        (q, _, _, _), factors, scale = self._column_case()
+        with pytest.raises(DimensionError, match="ax[ie]s"):
+            decayed_attention(Tensor(q), Tensor(q), Tensor(q), tuple(map(Tensor, factors)), scale, axis=axis)
+
+    def test_factors_for_another_axis_rejected(self):
+        # the kernels span the 5 rows of the height axis, not the 4 columns
+        (q, _, _, _), factors, scale = self._column_case()
+        with pytest.raises(DimensionError, match="4 keys"):
+            decayed_attention(Tensor(q), Tensor(q), Tensor(q), tuple(map(Tensor, factors)), scale, axis=-2)
 
 
 def _decay_rows_by_every_split(w, kernel, length):

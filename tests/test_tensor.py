@@ -139,6 +139,23 @@ def oihw(w):
     return w.transpose(3, 2, 0, 1)
 
 
+def conv2d_im2col_adjoints(x, w, g, stride, pad):
+    """dx and dw of conv2d on channels-last arrays through one im2col matrix: dw from one matmul
+    with it, dx from one matmul giving its cotangent, scattered back by k * k strided slice-adds."""
+    (h, wd, cin), (k, _, _, cout), (ho, wo, _) = x.shape, w.shape, g.shape
+    xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(0, 1))[::stride, ::stride]
+    cols = windows[:ho, :wo].transpose(0, 1, 3, 4, 2).reshape(ho * wo, k * k * cin)
+    g2 = g.reshape(ho * wo, cout)
+    dw = (g2.T @ cols).T.reshape(w.shape)
+    dcols = (g2 @ w.reshape(-1, cout).T).reshape(ho, wo, k, k, cin)
+    gxp = np.zeros(xp.shape)
+    for i in range(k):
+        for j in range(k):
+            gxp[i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, :, i, j]
+    return gxp[pad:pad + h, pad:pad + wd], dw
+
+
 # ---------------------------------------------------------------------------
 # matmul
 
@@ -294,6 +311,70 @@ class TestHadamard:
 
 
 # ---------------------------------------------------------------------------
+# gelu
+
+
+def _gelu_samples():
+    """Signed zeros, subnormals, |x| around sqrt(2) (erf's branch point at x / sqrt(2) = 1),
+    8.3 and 40 (where erf saturates and pdf underflows), each with both signs, and normals."""
+    root2 = np.sqrt(2.0)
+    near_root2 = [np.nextafter(root2, 0.0), root2, np.nextafter(root2, 3.0), 1.41, 1.42]
+    magnitudes = np.array([0.0, 5e-324, 1e-310, 2.2e-308] + near_root2 + [8.3, 40.0])
+    normals = np.random.default_rng(61).standard_normal(200)
+    return np.concatenate([magnitudes, -magnitudes, normals])
+
+
+def _gelu_by_the_unsplit_erf(x):
+    """cdf, output and derivative by erf(x / sqrt(2)) directly, in gelu's former operation order."""
+    from scipy.special import erf
+    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    deriv = x * x
+    deriv *= -0.5
+    np.exp(deriv, out=deriv)
+    deriv *= 1.0 / np.sqrt(2.0 * np.pi)
+    deriv *= x
+    deriv += cdf
+    return cdf, x * cdf, deriv
+
+
+class TestGelu:
+    def test_erf_is_exactly_odd_on_the_samples(self):
+        # the premise of the sign split: erf(-t) and -erf(t) agree bit for bit
+        from scipy.special import erf
+        t = np.abs(_gelu_samples()) / np.sqrt(2.0)
+        np.testing.assert_array_equal(erf(-t), -erf(t))
+        np.testing.assert_array_equal(np.signbit(erf(-t)), np.signbit(-erf(t)))
+
+    def test_output_and_derivative_equal_the_unsplit_erf_bit_for_bit(self):
+        x = _gelu_samples()
+        cdf, out, deriv = _gelu_by_the_unsplit_erf(x)
+        from scipy.special import erf
+        split = np.copysign(erf(np.abs(x) / np.sqrt(2.0)), x)
+        np.testing.assert_array_equal(0.5 * (1.0 + split), cdf)
+        a = Tensor(x, requires_grad=True)
+        y = gelu(a)
+        backward(sum_all(y))  # a cotangent of ones, so the gradient is the derivative itself
+        np.testing.assert_array_equal(y.data, out)
+        np.testing.assert_array_equal(np.signbit(y.data), np.signbit(out))
+        np.testing.assert_array_equal(a.grad, deriv)
+
+    def test_forward_holds_its_output_and_the_derivative_alone(self):
+        # with the caller's input dropped, the tape keeps one input-sized array, the derivative;
+        # keeping x and cdf for the adjoint would be two, 1 MiB each here
+        leaf = Tensor(np.random.default_rng(62).standard_normal((256, 512)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            x = mk.mul_scalar(leaf, 1.0)
+            out = gelu(x)
+            del x
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held <= 2 * out.data.nbytes + 64 * 2 ** 10
+
+
+# ---------------------------------------------------------------------------
 # depthwise conv
 
 
@@ -375,6 +456,36 @@ class TestConv2d:
             lambda i: sum_all(hadamard(conv2d(*i, stride=stride, padding=padding), Tensor(hwc(cot)))),
             [Tensor(hwc(x)), Tensor(hwio(w)), Tensor(b)])
         assert err < 1e-6
+
+    @pytest.mark.parametrize("k,stride,padding", list(itertools.product((1, 3, 5), (1, 2), (0, 1))))
+    def test_tap_by_tap_adjoints_equal_the_im2col_ones_bit_for_bit(self, k, stride, padding):
+        rng = np.random.default_rng(70 + 4 * k + 2 * stride + padding)
+        x, w, b = rng.standard_normal((9, 6, 3)), rng.standard_normal((k, k, 3, 4)), rng.standard_normal(4)
+        tracked = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        out = conv2d(*tracked, stride=stride, padding=padding)
+        cot = rng.standard_normal(out.shape)
+        backward(sum_all(hadamard(out, Tensor(cot))))  # so each adjoint receives cot exactly
+        dx, dw = conv2d_im2col_adjoints(x, w, cot, stride, padding)
+        np.testing.assert_array_equal(tracked[0].grad, dx)
+        np.testing.assert_array_equal(tracked[1].grad, dw)
+
+    def test_backward_peak_at_the_stem_stays_near_the_gradients(self):
+        # one im2col matrix of this 112^2 stem convolution, or its cotangent, is 29 MB; tap by
+        # tap, the adjoints need the padded input and one tap's [Ho*Wo, Cin] matrix, 3.3 MB each
+        rng = np.random.default_rng(71)
+        tracked = [Tensor(a, requires_grad=True) for a in (rng.standard_normal((112, 112, 32)),
+                                                           hwio(rng.standard_normal((32, 32, 3, 3))),
+                                                           rng.standard_normal(32))]
+        out = conv2d(*tracked, stride=1, padding=1)
+        g = rng.standard_normal(out.shape)
+        tracemalloc.start()
+        try:
+            grads = [vjp(g) for _, vjp in out._edges]
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [grad.shape for grad in grads] == [t.shape for t in (tracked[1], tracked[0], tracked[2])]
+        assert peak <= held + 8 * 2 ** 20
 
     def test_forward_retains_only_its_output_the_cols_and_the_padded_input(self):
         # the last rmt-t downsample: a reordered copy of its 512x256x3x3 weight would add 9.4 MB
