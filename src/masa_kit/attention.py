@@ -15,7 +15,6 @@ grid with side above 2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +123,7 @@ def _check_rates(q: Tensor, gamma: float | tuple[float, ...] | None) -> None:
 
 
 def _axial_factors(grid: GridShape, gamma: float | tuple[float, ...] | None,
-                   ndim: int) -> tuple[Tensor, Tensor] | None:
+                   ndim: int) -> tuple[np.ndarray, np.ndarray] | None:
     """``decay_axial_kernels`` of ``grid`` for ``decayed_attention`` on ``ndim``-axis inputs.
 
     Per-head kernels [heads, 2n - 1] become [heads, 1, ..., 2n - 1], so that they
@@ -134,8 +133,7 @@ def _axial_factors(grid: GridShape, gamma: float | tuple[float, ...] | None,
         return None
     factors = decay_axial_kernels(grid, gamma)
     if isinstance(gamma, tuple):
-        factors = tuple(Tensor(f.data.reshape(f.shape[:1] + (1,) * (ndim - 3) + f.shape[1:]))
-                        for f in factors)
+        factors = tuple(f.reshape(f.shape[:1] + (1,) * (ndim - 3) + f.shape[1:]) for f in factors)
     return factors
 
 
@@ -146,17 +144,17 @@ def masa_full(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
     q, k and v are [..., N, d] over the N tokens of ``grid``; the leading axes
     are a batch. Softmax runs row-wise first; the decay matrix then multiplies
     the weights entrywise and the rows are deliberately not renormalized. The
-    logits are divided by sqrt(d) before the softmax. ``gamma`` is one rate,
-    None (no decay: plain softmax attention), or a tuple with one rate per
-    entry of the first axis (the heads), shared by any axes between it and N.
-    The decay enters as its two axial kernels over token offsets
-    (``decay_axial_kernels``), so no N x N matrix is built.
+    logits are divided by sqrt(d) before the softmax, as ``decayed_attention``
+    does. ``gamma`` is one rate, None (no decay: plain softmax attention), or a
+    tuple with one rate per entry of the first axis (the heads), shared by any
+    axes between it and N. The decay enters as its two axial kernels over
+    token offsets (``decay_axial_kernels``), so no N x N matrix is built.
     """
     if q.shape[-2:-1] != (grid.size,):
         raise DimensionError(f"expected [..., N, d] tokens filling a {grid.height}x{grid.width} grid, "
                              f"got {q.shape}")
     _check_rates(q, gamma)
-    return decayed_attention(q, k, v, _axial_factors(grid, gamma, q.ndim), 1.0 / math.sqrt(q.shape[-1]))
+    return decayed_attention(q, k, v, _axial_factors(grid, gamma, q.ndim))
 
 
 def masa_decomposed(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
@@ -173,9 +171,8 @@ def masa_decomposed(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
     """
     _check_rates(q, gamma)
     qi, ki, vi = (token_image(t, grid) for t in (q, k, v))
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    rows = decayed_attention(qi, ki, vi, _axial_factors(GridShape(1, grid.width), gamma, qi.ndim), scale)
-    out = decayed_attention(qi, ki, rows, _axial_factors(GridShape(1, grid.height), gamma, qi.ndim), scale,
+    rows = decayed_attention(qi, ki, vi, _axial_factors(GridShape(1, grid.width), gamma, qi.ndim))
+    out = decayed_attention(qi, ki, rows, _axial_factors(GridShape(1, grid.height), gamma, qi.ndim),
                             axis=-3)
     return reshape(out, v.shape)
 

@@ -108,7 +108,7 @@ def decay_axial_pair(grid: GridShape, gamma: float) -> tuple[Tensor, Tensor]:
     return decay_bidirectional_1d(grid.height, gamma), decay_bidirectional_1d(grid.width, gamma)
 
 
-def decay_axial_kernels(grid: GridShape, gamma: float | tuple[float, ...]) -> tuple[Tensor, Tensor]:
+def decay_axial_kernels(grid: GridShape, gamma: float | tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The decay along the height and width axes of a grid as kernels over token offsets.
 
     The height kernel is a[i] = gamma**|i - (H - 1)| for i < 2H - 1, the centre
@@ -124,4 +124,4 @@ def decay_axial_kernels(grid: GridShape, gamma: float | tuple[float, ...]) -> tu
         raise ConfigurationError("a tuple of decay rates needs at least one rate")
     else:
         rates = np.array([_check_gamma(g, f" of head {i}") for i, g in enumerate(gamma)])[:, None]
-    return tuple(Tensor(rates ** np.abs(np.arange(1 - n, n))) for n in (grid.height, grid.width))
+    return tuple(rates ** np.abs(np.arange(1 - n, n)) for n in (grid.height, grid.width))

@@ -17,9 +17,9 @@ whose consumers need only its shape (``add``, ``reshape``, ``transpose``, ...)
 is freed as soon as the caller drops it, during the forward. ``backward``
 alone sums gradients and frees them; after it, only leaves keep a ``grad``.
 
-``tape_for(root).records`` lists every record reaching ``root`` in topological
-order, and ``.nodes`` the tensors among them that are still alive, so the
-values the tape really holds.
+``tape_for(root).records`` lists every record reaching ``root`` in creation
+order, which is topological, and ``.nodes`` the tensors among them that are
+still alive, so the values the tape really holds.
 
 A ``Tensor``'s data is immutable after construction, and a gradient tape must
 stay on the thread that built it. Multiply-accumulate counts for matmul,
@@ -28,6 +28,7 @@ linear, attention and convolution ops can be captured with ``count_macs``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from contextlib import contextmanager
@@ -75,6 +76,7 @@ def _record_macs(n: int) -> None:
 
 
 Vjp = Callable[[np.ndarray], np.ndarray]
+_SEQ = itertools.count()  # numbers the gradient records in creation order
 
 
 class GradRecord:
@@ -83,10 +85,11 @@ class GradRecord:
     ``op`` names the op that made the tensor ("leaf" for one built directly),
     ``edges`` holds one (parent record, vjp) pair per tracked parent, ``grad``
     is filled by ``backward``, and ``done`` marks a loss that has run it.
-    ``tensor()`` is the tensor, or None once nothing else holds it.
+    ``tensor()`` is the tensor, or None once nothing else holds it, and ``seq``
+    numbers the records in creation order, so parents before their children.
     """
 
-    __slots__ = ("op", "edges", "grad", "done", "tensor")
+    __slots__ = ("op", "edges", "grad", "done", "tensor", "seq")
 
     def __init__(self, tensor: Tensor, op: str, edges: tuple[tuple[GradRecord, Vjp], ...]) -> None:
         self.op = op
@@ -94,6 +97,7 @@ class GradRecord:
         self.grad: np.ndarray | None = None
         self.done = False
         self.tensor = weakref.ref(tensor)
+        self.seq = next(_SEQ)
 
 
 class Tensor:
@@ -120,10 +124,6 @@ class Tensor:
     @property
     def grad(self) -> np.ndarray | None:
         return None if self._record is None else self._record.grad
-
-    @property
-    def _edges(self) -> tuple[tuple[GradRecord, Vjp], ...]:
-        return () if self._record is None else self._record.edges
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -231,10 +231,10 @@ def _broadcast_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 @dataclass
 class GradTape:
-    """Topologically ordered gradient records reaching a tensor.
+    """The gradient records reaching a tensor, in creation order.
 
-    Replaying ``records`` in reverse propagates adjoints so that every tracked
-    leaf receives its gradient exactly once. Confined to one thread.
+    A record is made after its parents', so replaying ``records`` in reverse propagates
+    adjoints so that every tracked leaf receives its gradient exactly once. Confined to one thread.
     """
 
     records: list[GradRecord]
@@ -246,32 +246,25 @@ class GradTape:
 
 
 def tape_for(root: Tensor) -> GradTape:
-    """The tape of ``root``: its record and every record it reaches, parents first; empty if untracked."""
+    """The tape of ``root``: its record and every record it reaches, sorted by ``seq``; empty if untracked."""
     if root._record is None:
         return GradTape([])
-    order: list[GradRecord] = []
-    seen = {id(root._record)}
-    stack: list[tuple[GradRecord, Iterator[tuple[GradRecord, Vjp]]]] = [(root._record, iter(root._record.edges))]
+    seen = {root._record}
+    stack = [root._record]
     while stack:
-        node, edges = stack[-1]
-        pushed = False
-        for p, _ in edges:
-            if id(p) not in seen:
-                seen.add(id(p))
-                stack.append((p, iter(p.edges)))
-                pushed = True
-                break
-        if not pushed:
-            order.append(node)
-            stack.pop()
-    return GradTape(order)
+        for p, _ in stack.pop().edges:
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return GradTape(sorted(seen, key=lambda r: r.seq))
 
 
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every tracked leaf the scalar ``loss`` depends on.
 
-    Each node's edges run once, in reverse tape order, and then its own ``grad`` is
-    freed: a node is a set of per-parent edges, and only leaves keep a gradient.
+    Each node's edges run once, in reverse creation order (``tape_for``), and then its own
+    ``grad`` is freed: a node is a set of per-parent edges, and only leaves keep a gradient.
+    So a parent sums the gradients from its consumers latest consumer first.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -605,19 +598,20 @@ def _decay_in_place(w: np.ndarray, kernel: np.ndarray, start: int, stop: int) ->
         row = end
 
 
-def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Tensor] | None,
-                      scale: float, axis: int = -2) -> Tensor:
-    """softmax(scale * q k^T), times a decay D entrywise without renormalizing, applied to v.
+def decayed_attention(q: Tensor, k: Tensor, v: Tensor, decay: tuple[np.ndarray, np.ndarray] | None,
+                      axis: int = -2) -> Tensor:
+    """softmax(q k^T / sqrt(d)), times a decay D entrywise without renormalizing, applied to v.
 
     ``q`` and ``k`` are [..., L, ..., d] and ``v`` is [..., L, ..., dv], alike
     but for the last (feature) axis. The tokens run along ``axis`` (by default
     the one before the features), and every other axis but the last is a batch
     axis, in order. The output, like each gradient, is in the input's own
     layout: the work runs on views with the token axis moved next to the
-    features, so no copy is made to move it. ``factors`` is None (no decay) or
-    a pair of constant axial kernels a [..., 2Ha-1] and b [..., 2Wb-1] with
-    Ha * Wb = L, whose leading axes broadcast to the batch. Key m sits at
-    (x_m, y_m) = (m % Wb, m // Wb) on an Ha x Wb grid, and
+    features, so no copy is made to move it. ``decay`` is None (no decay) or
+    a pair of constant ndarrays, the axial kernels a [..., 2Ha-1] and
+    b [..., 2Wb-1] with Ha * Wb = L, whose leading axes broadcast to the
+    batch; the backward reads them, so the caller must not change them. Key m
+    sits at (x_m, y_m) = (m % Wb, m // Wb) on an Ha x Wb grid, and
     D[n, m] = a[y_m - y_n + Ha - 1] * b[x_m - x_n + Wb - 1].
 
     Query rows run in blocks of about ``ATTENTION_BLOCK_ELEMENTS`` logits. A
@@ -627,7 +621,8 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
     applied to v before the division by their row sum. One log-sum-exp per
     query row is kept, so the backward pass rebuilds each block's weights from
     q and k in three passes (a matmul, a subtraction, an exp), and the kernel
-    product from a and b: no [L, L] array outlives a block. The MACs counted
+    product from a and b: no [L, L] array outlives a block, and the tape keeps
+    the two axial kernels, not their product. The MACs counted
     are those of q k^T and of the weights times v, in the forward pass only.
     """
     q, k, v = _ensure(q), _ensure(k), _ensure(v)
@@ -644,22 +639,20 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, factors: tuple[Tensor, Te
         return np.moveaxis(t, axis, -2)
     qd, kd, vd = (tokens_last(t.data) for t in (q, k, v))
     batch, length = qd.shape[:-2], qd.shape[-2]
-    fa = fb = None
-    if factors is not None:
-        a, b = (_ensure(f) for f in factors)
-        if a.requires_grad or b.requires_grad:
-            raise UsageError("decay kernels are constants; they take no gradient")
-        if (a.ndim < 1 or b.ndim < 1 or a.shape[-1] % 2 == 0 or b.shape[-1] % 2 == 0
-                or (a.shape[-1] + 1) // 2 * ((b.shape[-1] + 1) // 2) != length):
-            raise DimensionError(f"decay kernels {a.shape} and {b.shape} are not of odd lengths "
-                                 f"2Ha-1 and 2Wb-1 with Ha * Wb = {length} keys")
-        if not _broadcasts_to(batch, a.shape[:-1], b.shape[:-1]):
-            raise DimensionError(f"decay kernels {a.shape} and {b.shape} do not broadcast to batch {batch}")
-        fa, fb = a.data, b.data
+    a = b = None
+    if decay is not None:
+        a, b = decay
+        if (not isinstance(a, np.ndarray) or not isinstance(b, np.ndarray) or a.ndim < 1 or b.ndim < 1
+                or a.shape[-1] % 2 == 0 or b.shape[-1] % 2 == 0
+                or (a.shape[-1] + 1) // 2 * ((b.shape[-1] + 1) // 2) != length
+                or not _broadcasts_to(batch, a.shape[:-1], b.shape[:-1])):
+            raise DimensionError(f"decay kernels {np.shape(a)} and {np.shape(b)} are not ndarrays of odd lengths "
+                                 f"2Ha-1 and 2Wb-1 with Ha * Wb = {length} keys for batch {batch}")
 
     def kernel() -> np.ndarray | None:
         """The [..., 2Ha-1, 2Wb-1] kernel product of a and b, built once per pass over the blocks."""
-        return None if fa is None else fa[..., :, None] * fb[..., None, :]
+        return None if a is None else a[..., :, None] * b[..., None, :]
+    scale = 1.0 / math.sqrt(q.shape[-1])
     kt = kd.swapaxes(-1, -2)
     n_batch = int(np.prod(batch, dtype=np.int64))
     blocks = _row_blocks(n_batch, length)

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from masa_kit import (ConfigurationError, DimensionError, GridShape, MaSAConfig,
-                      Tensor, UsageError, attention_score_apply_macs, backward, bi_retention,
+                      Tensor, attention_score_apply_macs, backward, bi_retention,
                       count_macs, decay_axial_kernels, decay_manhattan_2d,
                       decayed_attention, gamma_schedule, hadamard, init_masa_params, lce,
                       masa_decomposed, masa_full, masa_layer_forward, matmul, mul_scalar,
                       retention_parallel, retention_recurrent, softmax_last, sum_all, tape_for,
                       transpose)
+from masa_kit import attention as attention_module
 from masa_kit import tensor as tensor_module
 from masa_kit.train import finite_diff_gradcheck
 
@@ -484,7 +485,7 @@ class TestMasaLayer:
 
 def _kernels(height, width, gamma):
     """The axial kernel arrays of a height x width grid; a tuple of rates stacks them per head."""
-    return tuple(f.data for f in decay_axial_kernels(GridShape(height, width), gamma))
+    return decay_axial_kernels(GridShape(height, width), gamma)
 
 
 def _fused_case(name):
@@ -512,12 +513,15 @@ _FUSED_CASES = ["no-decay", "grid-2x3", "grid-3x5", "axis-1d", "per-head-full",
 
 
 def _fused_and_oracle(factors, scale, arrays):
-    """[out, dq, dk, dv] of the fused op and of the composite oracle for q, k, v, cotangent."""
+    """[out, dq, dk, dv] of the fused op and of the composite oracle for q, k, v, cotangent.
+
+    The fused op divides the logits by sqrt(d), so it takes the case's logit scale as q
+    pre-scaled by scale * sqrt(d) on the tape: exactly 1.0 unless the scale differs from 1/sqrt(d).
+    """
     cotangent = Tensor(arrays[3])
     decay = None if factors is None else Tensor(kernel_decay(*factors))
     results = []
-    for op in (lambda q, k, v: decayed_attention(
-                   q, k, v, None if factors is None else tuple(map(Tensor, factors)), scale),
+    for op in (lambda q, k, v: decayed_attention(mul_scalar(q, scale * math.sqrt(q.shape[-1])), k, v, factors),
                lambda q, k, v: composite_attend(q, k, v, decay, scale)):
         q, k, v = (Tensor(a, requires_grad=True) for a in arrays[:3])
         out = op(q, k, v)
@@ -569,8 +573,7 @@ class TestDecayedAttention:
         rng = np.random.default_rng(31)
         q, k, v = (Tensor(rng.uniform(-1, 1, (2, grid.size, 3))) for _ in range(3))
         err, _ = finite_diff_gradcheck(
-            lambda i: sum_all(decayed_attention(i[0], i[1], i[2], factors, 0.8)), [q, k, v],
-            eps=1e-6)
+            lambda i: sum_all(decayed_attention(i[0], i[1], i[2], factors)), [q, k, v], eps=1e-6)
         assert err < 1e-6
 
     def test_macs_counted_in_forward_only(self):
@@ -605,7 +608,7 @@ class TestDecayedAttention:
         arrays = [rng.standard_normal(shape) for _ in range(4)]
         _, dq, _, dv = _fused_and_oracle(factors, scale, arrays)[0]
         q, v = Tensor(arrays[0], requires_grad=True), Tensor(arrays[2], requires_grad=True)
-        out = decayed_attention(q, Tensor(arrays[1]), v, tuple(map(Tensor, factors)), scale)
+        out = decayed_attention(q, Tensor(arrays[1]), v, factors)
         for _ in range(2):
             q.zero_grad()
             v.zero_grad()
@@ -620,7 +623,7 @@ class TestDecayedAttention:
         out = masa_full(q, k, v, grid, 0.8)
         records = tape_for(sum_all(out)).records
         assert len(records) == 5 and out._record in records and out._record.op == "decayed_attention"
-        assert {p for p, _ in out._edges} == {q._record, k._record, v._record}
+        assert {p for p, _ in out._record.edges} == {q._record, k._record, v._record}
 
     def test_forward_backward_memory_stays_far_below_the_n_by_n_arrays(self):
         # side 64: one 4096 x 4096 float64 array is 128 MB, and the composite step kept five
@@ -652,34 +655,32 @@ class TestDecayedAttention:
         assert out.requires_grad
         assert held <= out.data.nbytes + grid.size * 8 + 64 * 2 ** 10
 
-    def test_bad_shapes_and_tracked_factors_rejected(self):
+    def test_bad_shapes_rejected(self):
         rng = np.random.default_rng(35)
         q = rand(rng, 2, 6, 3)
-        d_h, d_w = decay_axial_kernels(GridShape(2, 3), 0.5)
         with pytest.raises(DimensionError):
-            decayed_attention(q, rand(rng, 2, 5, 3), q, None, None)
+            decayed_attention(q, rand(rng, 2, 5, 3), q, None)
         with pytest.raises(DimensionError):
-            decayed_attention(q, q, rand(rng, 2, 5, 3), None, None)
-        with pytest.raises(UsageError):
-            decayed_attention(q, q, q, (d_h, Tensor(d_w.data, requires_grad=True)), None)
+            decayed_attention(q, q, rand(rng, 2, 5, 3), None)
 
     @pytest.mark.parametrize("a,b", [
-        (Tensor(1.0), Tensor(np.ones(5))),          # a 0-d kernel has no length to read
-        (Tensor(np.ones(3)), Tensor(np.ones(6))),   # 2 * ((6 + 1) // 2) = 6 keys, but no centre offset
-        (Tensor(np.ones(5)), Tensor(np.ones(5))),   # 3 * 3 offsets span 9 keys, not 6
-        (Tensor(np.ones((3, 3))), Tensor(np.ones(5))),  # 3 kernels for a batch of 2
-    ], ids=["0-d", "even-length", "wrong-product", "batch-mismatch"])
+        (Tensor(np.ones(3)), np.ones(5)),  # lengths that fit, but a Tensor: the kernels are constant arrays
+        (np.array(1.0), np.ones(5)),       # a 0-d kernel has no length to read
+        (np.ones(3), np.ones(6)),          # 2 * ((6 + 1) // 2) = 6 keys, but no centre offset
+        (np.ones(5), np.ones(5)),          # 3 * 3 offsets span 9 keys, not 6
+        (np.ones((3, 3)), np.ones(5)),     # 3 kernels for a batch of 2
+    ], ids=["tensor", "0-d", "even-length", "wrong-product", "batch-mismatch"])
     def test_bad_kernels_rejected_naming_both_shapes(self, a, b):
         q = rand(np.random.default_rng(40), 2, 6, 3)
         with pytest.raises(DimensionError) as info:
-            decayed_attention(q, q, q, (a, b), 1.0)
+            decayed_attention(q, q, q, (a, b))
         assert str(a.shape) in str(info.value) and str(b.shape) in str(info.value)
 
 
-def _attend_and_backward(q, k, v, factors, scale, cotangent, **axis):
+def _attend_and_backward(q, k, v, factors, cotangent, **axis):
     """[out, dq, dk, dv] of one ``decayed_attention`` call weighted by ``cotangent``."""
     tracked = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-    out = decayed_attention(*tracked, tuple(map(Tensor, factors)), scale, **axis)
+    out = decayed_attention(*tracked, factors, **axis)
     backward(sum_all(hadamard(out, Tensor(cotangent))))
     return [out.data] + [t.grad for t in tracked]
 
@@ -694,43 +695,57 @@ class TestDecayedAttentionAxis:
         heads, height, width = 3, 5, 4
         arrays = [rng.standard_normal((heads, height, width, 6)) for _ in range(4)]
         a, b = _kernels(1, height, gamma_schedule(2, 8, heads))
-        return arrays, (a[:, None], b[:, None]), 1 / math.sqrt(6)
+        return arrays, (a[:, None], b[:, None])
 
     @pytest.mark.parametrize("block_elements", [1 << 20, 7], ids=["one-block", "row-blocks"])
     def test_along_the_height_axis_equals_the_swapped_copy_composition(self, monkeypatch,
                                                                        block_elements):
         monkeypatch.setattr(tensor_module, "ATTENTION_BLOCK_ELEMENTS", block_elements)
-        (q, k, v, cot), factors, scale = self._column_case()
+        (q, k, v, cot), factors = self._column_case()
 
         def swap(a):
             return np.ascontiguousarray(np.swapaxes(a, -2, -3))
-        along_axis = _attend_and_backward(q, k, v, factors, scale, cot, axis=-3)
-        swapped = _attend_and_backward(swap(q), swap(k), swap(v), factors, scale, swap(cot))
+        along_axis = _attend_and_backward(q, k, v, factors, cot, axis=-3)
+        swapped = _attend_and_backward(swap(q), swap(k), swap(v), factors, swap(cot))
         for got, want in zip(along_axis, swapped):
             assert got.shape == q.shape
             np.testing.assert_array_equal(got, np.swapaxes(want, -2, -3))
 
     def test_gradcheck_along_the_height_axis(self):
-        (q, k, v, _), _, scale = self._column_case()
+        (q, k, v, _), _ = self._column_case()
         inputs = [Tensor(a[:, :3, :2, :2]) for a in (q, k, v)]
         a, b = _kernels(1, 3, gamma_schedule(2, 8, 3))
         err, _ = finite_diff_gradcheck(
-            lambda i: sum_all(decayed_attention(i[0], i[1], i[2], (Tensor(a[:, None]), Tensor(b[:, None])),
-                                                scale, axis=-3)), inputs, eps=1e-6)
+            lambda i: sum_all(decayed_attention(i[0], i[1], i[2], (a[:, None], b[:, None]), axis=-3)),
+            inputs, eps=1e-6)
         assert err < 1e-6
 
     @pytest.mark.parametrize("axis", [4, -5, 3, -1], ids=["past-the-end", "before-the-start",
                                                           "feature", "feature-negative"])
     def test_an_axis_that_is_no_token_axis_rejected(self, axis):
-        (q, _, _, _), factors, scale = self._column_case()
+        (q, _, _, _), factors = self._column_case()
         with pytest.raises(DimensionError, match="ax[ie]s"):
-            decayed_attention(Tensor(q), Tensor(q), Tensor(q), tuple(map(Tensor, factors)), scale, axis=axis)
+            decayed_attention(Tensor(q), Tensor(q), Tensor(q), factors, axis=axis)
 
     def test_factors_for_another_axis_rejected(self):
         # the kernels span the 5 rows of the height axis, not the 4 columns
-        (q, _, _, _), factors, scale = self._column_case()
+        (q, _, _, _), factors = self._column_case()
         with pytest.raises(DimensionError, match="4 keys"):
-            decayed_attention(Tensor(q), Tensor(q), Tensor(q), tuple(map(Tensor, factors)), scale, axis=-2)
+            decayed_attention(Tensor(q), Tensor(q), Tensor(q), factors, axis=-2)
+
+
+class TestAxialFactors:
+    @pytest.mark.parametrize("grid", [GridShape(3, 5), GridShape(1, 5), GridShape(1, 3)],
+                             ids=["3x5", "row-pass-1x5", "column-pass-1x3"])
+    def test_per_head_factors_index_to_each_heads_manhattan_decay(self, grid):
+        rates = gamma_schedule(2, 8, 3)
+        for ndim in (3, 4):
+            a, b = attention_module._axial_factors(grid, rates, ndim)
+            lead = (3,) + (1,) * (ndim - 3)
+            assert a.shape == lead + (2 * grid.height - 1,) and b.shape == lead + (2 * grid.width - 1,)
+            decay = kernel_decay(a.reshape(3, -1), b.reshape(3, -1))
+            for head, rate in enumerate(rates):
+                np.testing.assert_allclose(decay[head], decay_manhattan_2d(grid, rate).data, rtol=1e-15)
 
 
 def _decay_rows_by_every_split(w, kernel, length):

@@ -183,7 +183,7 @@ class TestAxialKernels:
         # D[n-1, j] for j < n, then D[0, j-n+1]: the last row's left half and the first row's right half
         for n, kernel in zip((height, width), decay_axial_kernels(GridShape(height, width), gamma)):
             d = decay_bidirectional_1d(n, gamma).data
-            np.testing.assert_array_equal(kernel.data, np.concatenate([d[n - 1, :n], d[0, 1:]]))
+            np.testing.assert_array_equal(kernel, np.concatenate([d[n - 1, :n], d[0, 1:]]))
 
     def test_a_tuple_of_rates_stacks_the_single_rate_kernels(self):
         grid, gammas = GridShape(2, 3), (0.3, 0.5, 0.9)
@@ -191,7 +191,7 @@ class TestAxialKernels:
         for i, length in enumerate((3, 5)):
             assert stacked[i].shape == (3, length)
             np.testing.assert_array_equal(
-                stacked[i].data, np.stack([decay_axial_kernels(grid, g)[i].data for g in gammas]))
+                stacked[i], np.stack([decay_axial_kernels(grid, g)[i] for g in gammas]))
 
     @pytest.mark.parametrize("gamma,fragment", [
         (1.5, r"decay rate must lie strictly inside \(0, 1\), got 1.5$"),

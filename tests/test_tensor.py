@@ -480,7 +480,7 @@ class TestConv2d:
         g = rng.standard_normal(out.shape)
         tracemalloc.start()
         try:
-            grads = [vjp(g) for _, vjp in out._edges]
+            grads = [vjp(g) for _, vjp in out._record.edges]
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -683,7 +683,7 @@ class TestBackward:
 
         a = Tensor(np.ones(2), requires_grad=True)
         out = mk.tensor._result("double", a.data * 2, (Tensor(np.ones(2)), refuse), (a, lambda g: g * 2))
-        assert len(out._edges) == 1
+        assert len(out._record.edges) == 1
         backward(sum_all(out))
         np.testing.assert_array_equal(a.grad, np.full(2, 2.0))
 
@@ -729,6 +729,21 @@ class TestTapeHolds:
 
     def test_an_untracked_root_has_an_empty_tape(self):
         assert mk.tape_for(sum_all(Tensor(np.ones(3)))).records == []
+
+    def test_records_come_in_creation_order_with_every_parent_first(self):
+        # a depth-first walk from the root would list y before x and w before u
+        x, y = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(2), requires_grad=True)
+        u = mk.mul_scalar(x, 2.0)
+        w = mk.mul_scalar(y, 3.0)
+        out = sum_all(w + u)
+        records = mk.tape_for(out).records
+        added = out._record.edges[0][0]
+        assert records == [x._record, y._record, u._record, w._record, added, out._record]
+        for i, record in enumerate(records):
+            assert all(records.index(parent) < i for parent, _ in record.edges)
+        backward(out)
+        np.testing.assert_array_equal(x.grad, np.full(2, 2.0))
+        np.testing.assert_array_equal(y.grad, np.full(2, 3.0))
 
 
 # ---------------------------------------------------------------------------
