@@ -20,8 +20,8 @@ from .errors import (ConfigurationError, DimensionError, MasaKitError, TrainingE
                      UsageError)
 from .tensor import (GradTape, MacCounter, Tensor, backward, concat, conv2d, count_macs,
                      decayed_attention, depthwise_conv2d, gelu, hadamard, linear, matmul,
-                     mean_axes, mul_scalar, normalize, reshape, slice_axis, softmax_last,
-                     sum_all, tape_for, transpose, trunc_normal)
+                     mean_axes, mul_scalar, no_grad, normalize, reshape, slice_axis,
+                     softmax_last, sum_all, tape_for, transpose, trunc_normal)
 from .train import (DataConfig, OptimState, SynthSample, TrainMetrics, adamw_step,
                     cross_entropy, finite_diff_gradcheck, init_optim, synth_dataset,
                     train_loop)

@@ -17,6 +17,13 @@ whose consumers need only its shape (``add``, ``reshape``, ``transpose``, ...)
 is freed as soon as the caller drops it, during the forward. ``backward``
 alone sums gradients and frees them; after it, only leaves keep a ``grad``.
 
+The tape is one-shot: once a record's edges have run, ``backward`` drops them,
+so each saved array is freed as soon as no later adjoint reads it, and marks the
+record ``done``. A later ``backward`` through a used record raises ``UsageError``
+before it writes any gradient; a fresh forward through the same leaves builds a
+new tape. Inside ``no_grad()`` ops link no edges, so a forward that no backward
+follows builds no tape.
+
 ``tape_for(root).records`` lists every record reaching ``root`` in creation
 order, which is topological, and ``.nodes`` the tensors among them that are
 still alive, so the values the tape really holds.
@@ -84,7 +91,8 @@ class GradRecord:
 
     ``op`` names the op that made the tensor ("leaf" for one built directly),
     ``edges`` holds one (parent record, vjp) pair per tracked parent, ``grad``
-    is filled by ``backward``, and ``done`` marks a loss that has run it.
+    is filled by ``backward``, and ``done`` marks an op record whose edges a
+    ``backward`` has run and dropped; a leaf is never done.
     ``tensor()`` is the tensor, or None once nothing else holds it, and ``seq``
     numbers the records in creation order, so parents before their children.
     """
@@ -166,16 +174,46 @@ def _ensure(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+_tracking = True  # False inside ``no_grad``
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Inside the ``with`` block, ops link no edges, so their outputs are untracked and no tape is built.
+
+    Values are the same bit for bit; ``gelu`` also skips its derivative. Blocks
+    nest, and the previous state comes back on exit, by an exception too.
+    Tracked leaves can still be made inside. The state is the module's, not
+    the thread's, as a tape is confined to one thread anyway.
+    """
+    global _tracking
+    saved, _tracking = _tracking, False
+    try:
+        yield
+    finally:
+        _tracking = saved
+
+
+# Ops whose output is a view or copy of their inputs' values, finite as those are.
+_DATA_MOVES = frozenset({"reshape", "transpose", "concat", "slice_axis"})
+
+
 def _result(op: str, data: np.ndarray, *edges: tuple[Tensor, Vjp]) -> Tensor:
     """The tensor over ``data`` made by ``op``, with each (parent, vjp) edge whose parent is tracked.
 
     Only the parents' records are kept, so a parent's value stays alive only
-    while a vjp or the caller holds it.
+    while a vjp or the caller holds it. Inside ``no_grad`` no edge is linked.
+    The output of a data move skips ``Tensor``'s finite check.
     """
-    edges = tuple((p._record, vjp) for p, vjp in edges if p._record is not None)
-    out = Tensor(data)
-    if edges:
-        out._record = GradRecord(out, op, edges)
+    if op in _DATA_MOVES:
+        out = Tensor.__new__(Tensor)
+        out.data, out._record = data, None
+    else:
+        out = Tensor(data)
+    if _tracking:
+        edges = tuple((p._record, vjp) for p, vjp in edges if p._record is not None)
+        if edges:
+            out._record = GradRecord(out, op, edges)
     return out
 
 
@@ -235,6 +273,8 @@ class GradTape:
 
     A record is made after its parents', so replaying ``records`` in reverse propagates
     adjoints so that every tracked leaf receives its gradient exactly once. Confined to one thread.
+    ``backward`` drops each record's edges once they have run, so after it the tape of its
+    loss holds only the loss's own record.
     """
 
     records: list[GradRecord]
@@ -246,7 +286,10 @@ class GradTape:
 
 
 def tape_for(root: Tensor) -> GradTape:
-    """The tape of ``root``: its record and every record it reaches, sorted by ``seq``; empty if untracked."""
+    """The tape of ``root``: its record and every record it reaches, sorted by ``seq``; empty if untracked.
+
+    A used record has no edges, so after ``backward(root)`` this is ``root``'s record alone.
+    """
     if root._record is None:
         return GradTape([])
     seen = {root._record}
@@ -263,26 +306,27 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every tracked leaf the scalar ``loss`` depends on.
 
     Each node's edges run once, in reverse creation order (``tape_for``), and then its own
-    ``grad`` is freed: a node is a set of per-parent edges, and only leaves keep a gradient.
-    So a parent sums the gradients from its consumers latest consumer first.
+    ``grad`` and edges are dropped and it is marked ``done``: a node is a set of per-parent
+    edges, and only leaves keep a gradient. So a parent sums the gradients from its consumers
+    latest consumer first, and each saved array is freed once no later adjoint reads it.
+    If any node on the tape is already done, ``UsageError`` is raised before any vjp runs.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise UsageError("loss is detached: it does not depend on any tracked tensor")
-    root = loss._record
-    if root.done:
-        raise UsageError("backward already ran from this tensor; rebuild the graph first")
     tape = tape_for(loss)
-    root.grad = np.ones_like(loss.data)
+    for node in tape.records:
+        if node.done:
+            raise UsageError(f"backward already ran through this {node.op} node; rebuild the graph first")
+    loss._record.grad = np.ones_like(loss.data)
     for node in reversed(tape.records):
-        for parent, vjp in node.edges:
-            g = vjp(node.grad)
-            # no gradient is written in place, so the first is kept as given, even a view
-            parent.grad = g if parent.grad is None else parent.grad + g
         if node.edges:
-            node.grad = None
-    root.done = True
+            for parent, vjp in node.edges:
+                g = vjp(node.grad)
+                # no gradient is written in place, so the first is kept as given, even a view
+                parent.grad = g if parent.grad is None else parent.grad + g
+            node.edges, node.grad, node.done = (), None, True
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +361,10 @@ def gelu(a: Tensor) -> Tensor:
 
     erf runs on |x| / sqrt(2) and its sign is copied back from x: scipy's erf is
     exactly odd, so this is erf(x / sqrt(2)) bit for bit, and its sign branch
-    is never mispredicted. When ``a`` is tracked, the derivative cdf + x * pdf
-    is built in the forward, and the tape keeps only that array: the adjoint
-    is g times it, and neither x nor cdf stays alive for it.
+    is never mispredicted. When ``a`` is tracked, outside ``no_grad``, the
+    derivative cdf + x * pdf is built in the forward, and the tape keeps only
+    that array: the adjoint is g times it, and neither x nor cdf stays alive
+    for it.
 
     ``scipy.special`` is imported on the first call, not with the package, so a
     process that runs no GELU never pays that import, the largest part of
@@ -336,7 +381,7 @@ def gelu(a: Tensor) -> Tensor:
     cdf += 1.0
     cdf *= 0.5
     data = x * cdf
-    if a._record is None:
+    if a._record is None or not _tracking:
         return Tensor(data)
     # cdf + x * pdf with pdf = exp(-x * x / 2) / sqrt(2 pi), in one buffer
     deriv = x * x

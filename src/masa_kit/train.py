@@ -17,7 +17,7 @@ import numpy as np
 
 from .blocks import Model, ModelConfig, build_backbone, forward_classify
 from .errors import ConfigurationError, TrainingError, UsageError, require_integer, require_kind
-from .tensor import Tensor, backward, cross_entropy, mul_scalar
+from .tensor import Tensor, backward, cross_entropy, mul_scalar, no_grad
 
 
 @dataclass(frozen=True)
@@ -216,13 +216,14 @@ def train_step(state: TrainState, batch_size: int) -> float:
 
 
 def evaluate(state: TrainState) -> tuple[float, float]:
-    """Mean loss and accuracy over the whole dataset; each forward still builds its tape."""
+    """Mean loss and accuracy over the whole dataset, under ``no_grad``, so no forward builds a tape."""
     total_loss, correct = 0.0, 0
-    for sample in state.data:
-        logits = forward_classify(state.model, sample.image)
-        total_loss += cross_entropy(Tensor(logits.data), sample.label).item()
-        if int(np.argmax(logits.data)) == sample.label:
-            correct += 1
+    with no_grad():
+        for sample in state.data:
+            logits = forward_classify(state.model, sample.image)
+            total_loss += cross_entropy(logits, sample.label).item()
+            if int(np.argmax(logits.data)) == sample.label:
+                correct += 1
     return total_loss / len(state.data), correct / len(state.data)
 
 

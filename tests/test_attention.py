@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from masa_kit import (ConfigurationError, DimensionError, GridShape, MaSAConfig,
-                      Tensor, attention_score_apply_macs, backward, bi_retention,
+                      Tensor, UsageError, attention_score_apply_macs, backward, bi_retention,
                       count_macs, decay_axial_kernels, decay_manhattan_2d,
                       decayed_attention, gamma_schedule, hadamard, init_masa_params, lce,
                       masa_decomposed, masa_full, masa_layer_forward, matmul, mul_scalar,
@@ -391,11 +391,11 @@ class TestMasaLayer:
         assert np.max(np.abs(out.data - expected)) < 1e-12
 
     @pytest.mark.parametrize("decomposed", [False, True], ids=["full", "decomposed"])
-    def test_a_second_loss_through_a_layer_whose_intermediates_were_freed_is_exact(
+    def test_a_layer_whose_intermediates_were_freed_gets_the_gradients_of_one_that_kept_them(
             self, decomposed, keep_every_value):
         # the values no adjoint reads (the projections before the head split) are freed in the
-        # forward; two losses through that graph get the gradients of the same
-        # graph with every value kept, bit for bit
+        # forward; that graph gets the gradients of the same graph with every value kept, bit
+        # for bit, and a second loss through it is refused
         grid = GridShape(2, 3)
         rng = np.random.default_rng(50)
         config, params, x = _layer_setup(rng, dim=4, heads=2, decomposed=decomposed, grid=grid)
@@ -415,9 +415,13 @@ class TestMasaLayer:
         kept = masa_layer_forward(x, params, config, grid)
         tape = tape_for(kept)
         assert len(tape.nodes) == len(tape.records)
-        for first, second, held in zip(grads(out), grads(out), grads(kept)):
-            np.testing.assert_array_equal(first, second)
-            np.testing.assert_array_equal(first, held)
+        whole = grads(kept)
+        freed = grads(out)
+        for got, want in zip(freed, whole):
+            np.testing.assert_array_equal(got, want)
+        with pytest.raises(UsageError, match="backward already ran through this matmul node"):
+            backward(sum_all(hadamard(out, cot)))
+        assert all(t.grad is g for t, g in zip(leaves, freed))
 
     def test_decomposed_layer_runs_and_matches_kernel_composition(self):
         rng = np.random.default_rng(20)
@@ -602,19 +606,23 @@ class TestDecayedAttention:
         backward(sum_all(out))
         assert len(calls) == 3
 
-    def test_untracked_k_takes_no_gradient_and_the_node_passes_back_twice(self):
+    def test_untracked_k_takes_no_gradient_and_the_node_passes_back_once(self):
         shape, factors, scale = _fused_case("grid-2x3")
         rng = np.random.default_rng(39)
         arrays = [rng.standard_normal(shape) for _ in range(4)]
         _, dq, _, dv = _fused_and_oracle(factors, scale, arrays)[0]
         q, v = Tensor(arrays[0], requires_grad=True), Tensor(arrays[2], requires_grad=True)
-        out = decayed_attention(q, Tensor(arrays[1]), v, factors)
-        for _ in range(2):
+        for _ in range(2):  # each fresh forward gets the same gradients
             q.zero_grad()
             v.zero_grad()
+            out = decayed_attention(q, Tensor(arrays[1]), v, factors)
             backward(sum_all(hadamard(out, Tensor(arrays[3]))))
             np.testing.assert_array_equal(q.grad, dq)
             np.testing.assert_array_equal(v.grad, dv)
+        with pytest.raises(UsageError, match="backward already ran through this decayed_attention node"):
+            backward(sum_all(hadamard(out, Tensor(arrays[3]))))
+        np.testing.assert_array_equal(q.grad, dq)
+        np.testing.assert_array_equal(v.grad, dv)
 
     def test_masa_full_is_one_node_on_the_tape(self):
         rng = np.random.default_rng(33)

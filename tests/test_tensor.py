@@ -609,7 +609,7 @@ class TestBackward:
         a = Tensor(np.ones(3), requires_grad=True)
         loss = sum_all(a)
         backward(loss)
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="backward already ran through this sum_all node"):
             backward(loss)
 
     def test_leaf_receives_adjoint_exactly_once(self):
@@ -628,54 +628,78 @@ class TestBackward:
         np.testing.assert_array_equal(a.grad, 2 * c.data)
         np.testing.assert_array_equal(b.grad, c.data)
 
-    def test_op_nodes_drop_their_gradient_so_a_second_backward_is_exact(self):
-        # h holds no gradient from the first pass, so the second sends a only 3 * 2
-        a = Tensor(np.ones(1), requires_grad=True)
+    def test_a_backward_through_a_used_node_is_refused_before_any_gradient_is_written(self):
+        a, b = Tensor(np.ones(1), requires_grad=True), Tensor(np.ones(1), requires_grad=True)
         h = mk.mul_scalar(a, 2)
         backward(sum_all(h))
-        assert h.grad is None
+        assert h.grad is None and h._record.edges == () and h._record.done
+        assert not a._record.done
         np.testing.assert_array_equal(a.grad, [2.0])
+        # b's edge would run first, so a check made as the pass goes would already have written b.grad
+        with pytest.raises(UsageError, match="backward already ran through this mul_scalar node"):
+            backward(sum_all(mk.mul_scalar(h, 3) + b))
+        np.testing.assert_array_equal(a.grad, [2.0])
+        assert b.grad is None
+        # a fresh forward through the same leaves works as before
         a.zero_grad()
-        backward(sum_all(mk.mul_scalar(h, 3)))
+        backward(sum_all(mk.mul_scalar(mk.mul_scalar(a, 2), 3) + b))
         np.testing.assert_array_equal(a.grad, [6.0])
+        np.testing.assert_array_equal(b.grad, [1.0])
 
-    def test_conv_and_gelu_adjoints_keep_no_used_up_state(self):
-        # the adjoints rebuild what they need from their inputs, so a second loss through
-        # the same conv2d, gelu and depthwise_conv2d nodes gets the same gradients bit for bit
+    def test_backward_drops_each_nodes_edges_and_leaves_only_the_root_on_the_tape(self):
+        rng = np.random.default_rng(47)
+        x, w = Tensor(rng.standard_normal((3, 4)), requires_grad=True), Tensor(rng.standard_normal((4, 2)),
+                                                                                 requires_grad=True)
+        loss = sum_all(gelu(matmul(x, w)))
+        records = mk.tape_for(loss).records
+        backward(loss)
+        assert mk.tape_for(loss).records == [loss._record]
+        for r in records:
+            if r.op == "leaf":
+                assert r.grad is not None and not r.done
+            else:
+                assert r.edges == () and r.grad is None and r.done
+
+    @staticmethod
+    def _fresh_graphs_agree_and_a_used_one_is_refused(forward, leaves, cot, op):
+        """Two fresh forwards get the same gradients bit for bit; a second loss through the
+        last one's used nodes is refused, naming ``op``, and leaves every gradient as it was."""
+        grads = []
+        for _ in range(2):
+            for t in leaves:
+                t.zero_grad()
+            out = forward()
+            backward(sum_all(hadamard(out, cot)))
+            grads.append([t.grad for t in leaves])
+        for first, second in zip(*grads):
+            np.testing.assert_array_equal(first, second)
+        with pytest.raises(UsageError, match=f"backward already ran through this {op} node"):
+            backward(sum_all(hadamard(out, cot)))
+        assert all(t.grad is g for t, g in zip(leaves, grads[1]))
+
+    def test_conv_and_gelu_adjoints_run_once_per_graph(self):
+        # the adjoints rebuild what they need from their inputs, so two fresh forwards through
+        # conv2d, gelu and depthwise_conv2d get the same gradients bit for bit
         rng = np.random.default_rng(48)
         x = Tensor(rng.standard_normal((7, 6, 3)), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 3, 3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal(4), requires_grad=True)
         kernel = Tensor(rng.standard_normal((3, 3, 4)), requires_grad=True)
-        out = depthwise_conv2d(gelu(conv2d(x, w, b, stride=1, padding=1)), kernel)
-        cot = Tensor(rng.standard_normal(out.shape))
-        leaves = (x, w, b, kernel)
-        grads = []
-        for _ in range(2):
-            backward(sum_all(hadamard(out, cot)))
-            grads.append([t.grad for t in leaves])
-            for t in leaves:
-                t.zero_grad()
-        for first, second in zip(*grads):
-            np.testing.assert_array_equal(first, second)
+        cot = Tensor(rng.standard_normal((7, 6, 4)))
+        self._fresh_graphs_agree_and_a_used_one_is_refused(
+            lambda: depthwise_conv2d(gelu(conv2d(x, w, b, stride=1, padding=1)), kernel), (x, w, b, kernel),
+            cot, "depthwise_conv2d")
 
-    def test_linear_and_normalize_adjoints_keep_no_used_up_state(self):
-        # normalize's adjoint pass rebuilds x_hat from x, so a second loss through the same
-        # linear and normalize nodes gets the same gradients bit for bit
+    def test_linear_and_normalize_adjoints_run_once_per_graph(self):
+        # normalize's adjoint pass rebuilds x_hat from x, so two fresh forwards through linear
+        # and normalize get the same gradients bit for bit
         rng = np.random.default_rng(49)
         x, w, b, gain, shift = (Tensor(rng.standard_normal(s), requires_grad=True)
                                 for s in ((6, 4), (4, 5), (5,), (5,), (5,)))
-        out = mk.normalize(linear(x, w, b), (-1,), gain, shift)
-        cot = Tensor(rng.standard_normal(out.shape))
-        leaves = (x, w, b, gain, shift)
-        grads = []
-        for _ in range(2):
-            backward(sum_all(hadamard(out, cot)))
-            grads.append([t.grad for t in leaves])
-            for t in leaves:
-                t.zero_grad()
-        for first, second in zip(*grads):
-            np.testing.assert_array_equal(first, second)
+        cot = Tensor(rng.standard_normal((6, 5)))
+        self._fresh_graphs_agree_and_a_used_one_is_refused(
+            lambda: mk.normalize(linear(x, w, b), (-1,), gain, shift), (x, w, b, gain, shift), cot,
+            "normalize")
 
     def test_no_vjp_runs_for_an_untracked_parent(self):
         def refuse(g):
@@ -690,6 +714,64 @@ class TestBackward:
     def test_non_finite_values_rejected(self):
         with pytest.raises(UsageError):
             Tensor([1.0, np.inf])
+
+
+class TestNoGrad:
+    def test_ops_link_no_edges_and_give_the_tracked_values(self):
+        rng = np.random.default_rng(62)
+        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        tracked = gelu(matmul(a, mk.transpose(a)))
+        with mk.no_grad():
+            untracked = gelu(matmul(a, mk.transpose(a)))
+        assert tracked.requires_grad and not untracked.requires_grad
+        np.testing.assert_array_equal(untracked.data, tracked.data)
+
+    def test_tracked_leaves_can_still_be_made_inside(self):
+        with mk.no_grad():
+            a = Tensor(np.ones(2), requires_grad=True)
+            assert not mk.mul_scalar(a, 2.0).requires_grad
+        backward(sum_all(mk.mul_scalar(a, 2.0)))
+        np.testing.assert_array_equal(a.grad, np.full(2, 2.0))
+
+    def test_nests_and_restores_tracking_on_exit_and_on_an_exception(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError, match="inside"):
+            with mk.no_grad():
+                with mk.no_grad():
+                    assert not mk.mul_scalar(a, 2.0).requires_grad
+                assert not mk.mul_scalar(a, 2.0).requires_grad  # the inner exit keeps the outer block's state
+                raise RuntimeError("inside")
+        assert mk.tensor._tracking
+        assert mk.mul_scalar(a, 2.0).requires_grad
+
+    def test_a_loss_built_inside_is_detached(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        with mk.no_grad():
+            loss = sum_all(hadamard(a, a))
+        assert mk.tape_for(loss).records == []
+        with pytest.raises(UsageError, match="loss is detached"):
+            backward(loss)
+        assert a.grad is None
+
+
+class TestDataMoves:
+    def test_a_data_move_builds_its_output_without_the_finite_check(self, monkeypatch):
+        # a view or copy of finite values is finite, so no Tensor() construction checks it again
+        a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a data move ran Tensor's finite check")
+        monkeypatch.setattr(Tensor, "__init__", refuse)
+        outs = [mk.reshape(a, (3, 2)), mk.transpose(a), mk.concat([a, a], axis=0), mk.slice_axis(a, 1, 0, 2)]
+        monkeypatch.undo()
+        for out, want in zip(outs, (a.data.reshape(3, 2), a.data.T, np.concatenate([a.data, a.data]),
+                                    a.data[:, :2])):
+            np.testing.assert_array_equal(out.data, want)
+            assert out.requires_grad and out._record.edges[0][0] is a._record
+
+    def test_arithmetic_still_refuses_a_non_finite_result(self):
+        with pytest.raises(UsageError, match="finite"), np.errstate(over="ignore"):
+            mk.mul_scalar(Tensor([1e308]), 10.0)
 
 
 class TestTapeHolds:
