@@ -10,19 +10,22 @@ operation that returns successfully yields finite values; NaN or Inf raises
 
 A tracked tensor owns a gradient record: its ``grad``, the name of the op that
 made it, and one edge per tracked parent, the parent's record and the
-vector-Jacobian product (vjp) giving that parent's gradient. The record refers
-back to its tensor only weakly, and each vjp keeps only the arrays it reads, so
-the tape keeps a value only while an adjoint or the caller holds it: an output
-whose consumers need only its shape (``add``, ``reshape``, ``transpose``, ...)
-is freed as soon as the caller drops it, during the forward. ``backward``
-alone sums gradients and frees them; after it, only leaves keep a ``grad``.
+vector-Jacobian product (vjp) giving that parent's gradient. Each op hands
+``_result`` one edge per parent, and ``_result`` alone keeps the tracked ones;
+a fused op's edges share one adjoint pass that computes every parent's
+gradient (``_shared``). The record refers back to its tensor only weakly, and
+each vjp keeps only the arrays it reads, so the tape keeps a value only while
+an adjoint or the caller holds it: an output whose consumers need only its
+shape (``add``, ``reshape``, ``transpose``, ...) is freed as soon as the caller
+drops it, during the forward. ``backward`` alone sums gradients and frees them;
+after it, only leaves keep a ``grad``.
 
 The tape is one-shot: once a record's edges have run, ``backward`` drops them,
-so each saved array is freed as soon as no later adjoint reads it, and marks the
-record ``done``. A later ``backward`` through a used record raises ``UsageError``
-before it writes any gradient; a fresh forward through the same leaves builds a
-new tape. Inside ``no_grad()`` ops link no edges, so a forward that no backward
-follows builds no tape.
+so each saved array is freed as soon as no later adjoint reads it, and an op
+record with no edges is used. A later ``backward`` through a used record raises
+``UsageError`` before it writes any gradient; a fresh forward through the same
+leaves builds a new tape. Inside ``no_grad()`` ops link no edges, so a forward
+that no backward follows builds no tape.
 
 ``tape_for(root).records`` lists every record reaching ``root`` in creation
 order, which is topological, and ``.nodes`` the tensors among them that are
@@ -35,6 +38,7 @@ linear, attention and convolution ops can be captured with ``count_macs``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import weakref
@@ -90,20 +94,19 @@ class GradRecord:
     """The gradient state of one tracked tensor, apart from its value.
 
     ``op`` names the op that made the tensor ("leaf" for one built directly),
-    ``edges`` holds one (parent record, vjp) pair per tracked parent, ``grad``
-    is filled by ``backward``, and ``done`` marks an op record whose edges a
-    ``backward`` has run and dropped; a leaf is never done.
+    ``edges`` holds one (parent record, vjp) pair per tracked parent, and
+    ``grad`` is filled by ``backward``, which drops an op record's edges once
+    they have run: an op record with no edges is used, and a leaf never is.
     ``tensor()`` is the tensor, or None once nothing else holds it, and ``seq``
     numbers the records in creation order, so parents before their children.
     """
 
-    __slots__ = ("op", "edges", "grad", "done", "tensor", "seq")
+    __slots__ = ("op", "edges", "grad", "tensor", "seq")
 
     def __init__(self, tensor: Tensor, op: str, edges: tuple[tuple[GradRecord, Vjp], ...]) -> None:
         self.op = op
         self.edges = edges
         self.grad: np.ndarray | None = None
-        self.done = False
         self.tensor = weakref.ref(tensor)
         self.seq = next(_SEQ)
 
@@ -217,21 +220,21 @@ def _result(op: str, data: np.ndarray, *edges: tuple[Tensor, Vjp]) -> Tensor:
     return out
 
 
-def _one_pass(adjoint: Callable[[np.ndarray], dict[int, np.ndarray]]
-              ) -> Callable[[int, np.ndarray], np.ndarray]:
-    """``take(i, g)``: parent i's gradient from one ``adjoint(g)`` pass shared by an op's edges.
+def _shared(adjoint: Callable[[np.ndarray], tuple[np.ndarray, ...]], *parents: Tensor
+            ) -> tuple[tuple[Tensor, Vjp], ...]:
+    """One (parent, vjp) edge per parent, all served by one ``adjoint(g)`` pass.
 
-    ``adjoint`` maps the cotangent to {parent index: gradient} for the tracked parents,
-    whose gradients share a rebuilt array. The first edge to run makes the pass, and
-    each edge takes its own gradient from it.
+    ``adjoint`` maps the cotangent to every parent's gradient, in order, from arrays
+    it rebuilds once for all. The first edge to run makes the pass, and each edge
+    takes its own gradient from it; an untracked parent's is dropped with the edges.
     """
     pending: dict[int, np.ndarray] = {}
 
     def take(i: int, g: np.ndarray) -> np.ndarray:
         if not pending:
-            pending.update(adjoint(g))
+            pending.update(enumerate(adjoint(g)))
         return pending.pop(i)
-    return take
+    return tuple((p, functools.partial(take, i)) for i, p in enumerate(parents))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -245,11 +248,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _broadcasts_to(target: tuple[int, ...], *shapes: tuple[int, ...]) -> bool:
+def _broadcast(*shapes: tuple[int, ...]) -> tuple[int, ...] | None:
     try:
-        return np.broadcast_shapes(target, *shapes) == target
+        return np.broadcast_shapes(*shapes)
     except ValueError:
-        return False
+        return None
 
 
 def _axes(a: Tensor, axes: Sequence[int], op: str) -> tuple[int, ...]:
@@ -258,13 +261,6 @@ def _axes(a: Tensor, axes: Sequence[int], op: str) -> tuple[int, ...]:
     if not all(0 <= ax < a.ndim for ax in out) or len(set(out)) != len(out):
         raise DimensionError(f"{op}: axes {tuple(axes)} are out of range or repeated for shape {a.shape}")
     return out
-
-
-def _broadcast_shape(a: Tensor, b: Tensor, op: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
 
 @dataclass
@@ -306,10 +302,10 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every tracked leaf the scalar ``loss`` depends on.
 
     Each node's edges run once, in reverse creation order (``tape_for``), and then its own
-    ``grad`` and edges are dropped and it is marked ``done``: a node is a set of per-parent
-    edges, and only leaves keep a gradient. So a parent sums the gradients from its consumers
-    latest consumer first, and each saved array is freed once no later adjoint reads it.
-    If any node on the tape is already done, ``UsageError`` is raised before any vjp runs.
+    ``grad`` and edges are dropped: a node is a set of per-parent edges, and only leaves keep
+    a gradient. So a parent sums the gradients from its consumers latest consumer first, and
+    each saved array is freed once no later adjoint reads it. If any op node on the tape has
+    no edges, so is used, ``UsageError`` is raised before any vjp runs.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -317,7 +313,7 @@ def backward(loss: Tensor) -> None:
         raise UsageError("loss is detached: it does not depend on any tracked tensor")
     tape = tape_for(loss)
     for node in tape.records:
-        if node.done:
+        if node.op != "leaf" and not node.edges:
             raise UsageError(f"backward already ran through this {node.op} node; rebuild the graph first")
     loss._record.grad = np.ones_like(loss.data)
     for node in reversed(tape.records):
@@ -326,7 +322,7 @@ def backward(loss: Tensor) -> None:
                 g = vjp(node.grad)
                 # no gradient is written in place, so the first is kept as given, even a view
                 parent.grad = g if parent.grad is None else parent.grad + g
-            node.edges, node.grad, node.done = (), None, True
+            node.edges, node.grad = (), None
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +331,8 @@ def backward(loss: Tensor) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _ensure(a), _ensure(b)
-    _broadcast_shape(a, b, "add")
+    if _broadcast(a.shape, b.shape) is None:
+        raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
     a_shape, b_shape = a.shape, b.shape
     return _result("add", a.data + b.data, (a, lambda g: _unbroadcast(g, a_shape)),
                    (b, lambda g: _unbroadcast(g, b_shape)))
@@ -344,7 +341,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; shapes must be equal or broadcastable."""
     a, b = _ensure(a), _ensure(b)
-    _broadcast_shape(a, b, "hadamard")
+    if _broadcast(a.shape, b.shape) is None:
+        raise DimensionError(f"hadamard: shapes {a.shape} and {b.shape} do not broadcast")
     a_shape, b_shape = a.shape, b.shape
     return _result("hadamard", a.data * b.data, (a, lambda g: _unbroadcast(g * b.data, a_shape)),
                    (b, lambda g: _unbroadcast(g * a.data, b_shape)))
@@ -404,10 +402,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul needs matrices, got shapes {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: inner dimensions disagree for {a.shape} and {b.shape}")
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        raise DimensionError(f"matmul: batch dimensions disagree for {a.shape} and {b.shape}") from None
+    if _broadcast(a.shape[:-2], b.shape[:-2]) is None:
+        raise DimensionError(f"matmul: batch dimensions disagree for {a.shape} and {b.shape}")
     data = a.data @ b.data
     m, k, n = a.shape[-2], a.shape[-1], b.shape[-1]
     _record_macs(int(np.prod(data.shape[:-2], dtype=np.int64)) * m * k * n)
@@ -533,11 +529,12 @@ def normalize(x: Tensor, axes: tuple[int, ...], gain: Tensor, bias: Tensor) -> T
 
     ``gain`` and ``bias`` broadcast to the shape of ``x``. The adjoint is the layer-norm
     one (Ba et al., 2016): dx = inv * (gx - mean(gx) - x_hat * mean(gx * x_hat)), gx = g * gain.
-    The tape keeps only ``inv``: one adjoint pass serves the ``x`` and ``gain`` edges and
-    rebuilds x_hat from ``x`` with the forward's own expressions, so bit for bit.
+    The tape keeps only ``inv``: one adjoint pass (``_shared``) computes dx, dgain and dbias,
+    rebuilding x_hat from ``x`` with the forward's own expressions, so bit for bit. A constant
+    ``gain`` or ``bias`` gets its gradient computed and dropped; no caller in the package has one.
     """
     x, gain, bias = _ensure(x), _ensure(gain), _ensure(bias)
-    if not _broadcasts_to(x.shape, gain.shape, bias.shape):
+    if _broadcast(x.shape, gain.shape, bias.shape) != x.shape:
         raise DimensionError(f"normalize: gain {gain.shape} and bias {bias.shape} "
                              f"do not broadcast to {x.shape}")
     axes = _axes(x, axes, "normalize")
@@ -555,26 +552,20 @@ def normalize(x: Tensor, axes: tuple[int, ...], gain: Tensor, bias: Tensor) -> T
     data *= inv
     data *= gain.data
     data += bias.data
+    bias_shape = bias.shape
 
-    def adjoint(g: np.ndarray) -> dict[int, np.ndarray]:
+    def adjoint(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         x_hat = centered()
         x_hat *= inv
-        grads = {}
-        if gain.requires_grad:
-            grads[1] = _unbroadcast(g * x_hat, gain.shape)
-        if x.requires_grad:
-            # inv * (gx - mean(gx) - x_hat * mean(gx * x_hat)), bit for bit, in the buffers of gx and x_hat
-            gx = g * gain.data
-            x_hat *= mean(gx * x_hat)
-            gx -= mean(gx)
-            gx -= x_hat
-            gx *= inv
-            grads[0] = gx
-        return grads
-    take = _one_pass(adjoint)  # dx and dgain share the rebuilt x_hat
-    bias_shape = bias.shape
-    return _result("normalize", data, (x, lambda g: take(0, g)), (gain, lambda g: take(1, g)),
-                   (bias, lambda g: _unbroadcast(g, bias_shape)))
+        dgain = _unbroadcast(g * x_hat, gain.shape)
+        # inv * (gx - mean(gx) - x_hat * mean(gx * x_hat)), bit for bit, in the buffers of gx and x_hat
+        gx = g * gain.data
+        x_hat *= mean(gx * x_hat)
+        gx -= mean(gx)
+        gx -= x_hat
+        gx *= inv
+        return gx, dgain, _unbroadcast(g, bias_shape)
+    return _result("normalize", data, *_shared(adjoint, x, gain, bias))
 
 
 def softmax_last(a: Tensor) -> Tensor:
@@ -616,15 +607,17 @@ def _row_blocks(batch: int, length: int) -> list[tuple[int, int]]:
     return [(start, min(start + step, length)) for start in range(0, length, step)]
 
 
-def _decay_in_place(w: np.ndarray, kernel: np.ndarray, start: int, stop: int) -> None:
+def _decay_in_place(w: np.ndarray, kernel: np.ndarray | None, start: int, stop: int) -> None:
     """Multiply w [..., rows, Ha*Wb] in place by rows start..stop of the decay of a
-    kernel [..., 2Ha-1, 2Wb-1]: D[n, m] = kernel[y_m - y_n + Ha - 1, x_m - x_n + Wb - 1].
+    kernel [..., 2Ha-1, 2Wb-1]: D[n, m] = kernel[y_m - y_n + Ha - 1, x_m - x_n + Wb - 1]; None is no decay.
 
     Query n's row of D is the [Ha, Wb] window of the kernel at (Ha-1 - y_n, Wb-1 - x_n),
     so a run of queries is one strided view [..., ny, nx, Ha, Wb] with strides
     (-s0, -s1, s0, s1): one multiply pass each for a partial first grid row, the
     whole rows and a partial last row, with no gather and no block-sized temporary.
     """
+    if kernel is None:
+        return
     ha, wb = (kernel.shape[-2] + 1) // 2, (kernel.shape[-1] + 1) // 2
     s0, s1 = kernel.strides[-2:]
     row = start
@@ -667,8 +660,10 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, decay: tuple[np.ndarray, 
     query row is kept, so the backward pass rebuilds each block's weights from
     q and k in three passes (a matmul, a subtraction, an exp), and the kernel
     product from a and b: no [L, L] array outlives a block, and the tape keeps
-    the two axial kernels, not their product. The MACs counted
-    are those of q k^T and of the weights times v, in the forward pass only.
+    the two axial kernels, not their product. The one backward pass (``_shared``)
+    computes dq, dk and dv, so a constant q, k or v gets its gradient computed and
+    dropped; no caller in the package passes one. The MACs counted are those of
+    q k^T and of the weights times v, in the forward pass only.
     """
     q, k, v = _ensure(q), _ensure(k), _ensure(v)
     if q.ndim < 2 or k.shape != q.shape or v.ndim != q.ndim or v.shape[:-1] != q.shape[:-1]:
@@ -690,7 +685,7 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, decay: tuple[np.ndarray, 
         if (not isinstance(a, np.ndarray) or not isinstance(b, np.ndarray) or a.ndim < 1 or b.ndim < 1
                 or a.shape[-1] % 2 == 0 or b.shape[-1] % 2 == 0
                 or (a.shape[-1] + 1) // 2 * ((b.shape[-1] + 1) // 2) != length
-                or not _broadcasts_to(batch, a.shape[:-1], b.shape[:-1])):
+                or _broadcast(batch, a.shape[:-1], b.shape[:-1]) != batch):
             raise DimensionError(f"decay kernels {np.shape(a)} and {np.shape(b)} are not ndarrays of odd lengths "
                                  f"2Ha-1 and 2Wb-1 with Ha * Wb = {length} keys for batch {batch}")
 
@@ -712,18 +707,14 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, decay: tuple[np.ndarray, 
         e -= peak
         np.exp(e, out=e)
         z = e.sum(axis=-1, keepdims=True)
-        if kern is not None:
-            _decay_in_place(e, kern, start, stop)
+        _decay_in_place(e, kern, start, stop)
         np.divide(e @ vd, z, out=out[rows])
         lse[rows] = peak + np.log(z)
     _record_macs(n_batch * length * length * (q.shape[-1] + v.shape[-1]))
 
-    def adjoint(g: np.ndarray) -> dict[int, np.ndarray]:
-        dq = np.empty(q.shape) if q.requires_grad else None
-        dk = np.zeros(k.shape) if k.requires_grad else None
-        dv = np.zeros(v.shape) if v.requires_grad else None
-        grads = {i: grad for i, grad in enumerate((dq, dk, dv)) if grad is not None}
-        dq, dk, dv = (None if grad is None else tokens_last(grad) for grad in (dq, dk, dv))
+    def adjoint(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        grads = np.empty(q.shape), np.zeros(k.shape), np.zeros(v.shape)
+        dq, dk, dv = (tokens_last(grad) for grad in grads)
         vt = vd.swapaxes(-1, -2)
         kern = kernel()
         # rowsum(dP * P) = rowsum(dW * W) = g . out per row, as rows are not renormalized
@@ -734,29 +725,19 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, decay: tuple[np.ndarray, 
             p = (qd[rows] * scale) @ kt
             p -= lse[rows]
             np.exp(p, out=p)
-            if dq is not None or dk is not None:
-                ds = g[rows] @ vt
-                if kern is not None:
-                    _decay_in_place(ds, kern, start, stop)
-                ds -= delta[rows]
-                ds *= p
-                if dq is not None:
-                    dq[rows] = ds @ kd
-                if dk is not None:
-                    dk += ds.swapaxes(-1, -2) @ qd[rows]
-                del ds
-            if dv is not None:
-                if kern is not None:
-                    _decay_in_place(p, kern, start, stop)
-                dv += p.swapaxes(-1, -2) @ g[rows]
-        for grad in (dq, dk):
-            if grad is not None:
-                grad *= scale
+            ds = g[rows] @ vt
+            _decay_in_place(ds, kern, start, stop)
+            ds -= delta[rows]
+            ds *= p
+            dq[rows] = ds @ kd
+            dk += ds.swapaxes(-1, -2) @ qd[rows]
+            del ds
+            _decay_in_place(p, kern, start, stop)
+            dv += p.swapaxes(-1, -2) @ g[rows]
+        dq *= scale
+        dk *= scale
         return grads
-
-    take = _one_pass(adjoint)  # dq, dk and dv share each block's rebuilt weights
-    return _result("decayed_attention", data, (q, lambda g: take(0, g)), (k, lambda g: take(1, g)),
-                   (v, lambda g: take(2, g)))
+    return _result("decayed_attention", data, *_shared(adjoint, q, k, v))
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +822,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -
         raise DimensionError(f"conv2d output would be empty for input {x.shape}, k={k}, stride={s}, padding={p}")
 
     data = (_windows(x.data, k, p, s).reshape(ho * wo, k * k * cin)
-            @ weight.data.reshape(-1, cout)).reshape(ho, wo, cout) + bias.data
+            @ weight.data.reshape(-1, cout)).reshape(ho, wo, cout)
+    data += bias.data
     _record_macs(cout * ho * wo * cin * k * k)
     taps = [(i, j) for i in range(k) for j in range(k)]
 

@@ -1,5 +1,6 @@
 """Attention kernels against brute-force oracles and each other."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -740,6 +741,46 @@ class TestDecayedAttentionAxis:
         (q, _, _, _), factors = self._column_case()
         with pytest.raises(DimensionError, match="4 keys"):
             decayed_attention(Tensor(q), Tensor(q), Tensor(q), factors, axis=-2)
+
+
+TRACKED_SUBSETS = [t for n in (1, 2, 3) for t in itertools.combinations(range(3), n)]
+TRACKED_IDS = ["".join("qkv"[i] for i in t) for t in TRACKED_SUBSETS]
+
+
+class TestDecayedAttentionTrackedSubsets:
+    """The one backward pass computes dq, dk and dv; the tape keeps only the tracked parents' edges."""
+
+    @staticmethod
+    def _case(axis):
+        """(q, k, v, cotangent, kernels) for attention along ``axis``, one rate per head."""
+        if axis == -3:
+            arrays, factors = TestDecayedAttentionAxis._column_case()
+            return (*arrays, factors)
+        rng = np.random.default_rng(44)
+        arrays = [rng.standard_normal((2, 6, 4)) for _ in range(4)]
+        return (*arrays, _kernels(2, 3, gamma_schedule(2, 8, 2)))
+
+    @pytest.mark.parametrize("tracked", TRACKED_SUBSETS, ids=TRACKED_IDS)
+    @pytest.mark.parametrize("decayed", [True, False], ids=["decay", "no-decay"])
+    @pytest.mark.parametrize("axis", [-2, -3])
+    def test_tracked_parents_get_the_all_tracked_gradients_and_the_rest_none(self, axis, decayed, tracked):
+        q, k, v, cot, factors = self._case(axis)
+        factors = factors if decayed else None
+        want = _attend_and_backward(q, k, v, factors, cot, axis=axis)
+        inputs = [Tensor(a, requires_grad=i in tracked) for i, a in enumerate((q, k, v))]
+        out = decayed_attention(*inputs, factors, axis=axis)
+        assert len(out._record.edges) == len(tracked)
+        backward(sum_all(hadamard(out, Tensor(cot))))
+        np.testing.assert_array_equal(out.data, want[0])
+        for i, t in enumerate(inputs):
+            if i in tracked:
+                np.testing.assert_array_equal(t.grad, want[1 + i])
+            else:
+                assert t.grad is None
+        grads = [t.grad for t in inputs]
+        with pytest.raises(UsageError, match="backward already ran through this decayed_attention node"):
+            backward(sum_all(hadamard(out, Tensor(cot))))
+        assert all(t.grad is g for t, g in zip(inputs, grads))
 
 
 class TestAxialFactors:

@@ -456,10 +456,10 @@ class TestTapeSize:
         mk.backward(loss)  # after it, only the leaves hold a gradient, and only the root is on the tape
         assert mk.tape_for(loss).records == [loss._record]
         for r in records:
-            if r.op == "leaf":
-                assert r.grad is not None and not r.done
-            else:
-                assert r.edges == () and r.grad is None and r.done
+            if r.op == "leaf":  # a leaf has no edges and is never used
+                assert r.grad is not None and r.edges == ()
+            else:  # an op record with no edges is used
+                assert r.edges == () and r.grad is None
 
     def test_tiny_forward_and_cross_entropy_hold_only_what_the_adjoints_read(self):
         # the tape keeps a value only while an adjoint reads it: 580.9 KiB here, against 701.8 KiB

@@ -632,8 +632,8 @@ class TestBackward:
         a, b = Tensor(np.ones(1), requires_grad=True), Tensor(np.ones(1), requires_grad=True)
         h = mk.mul_scalar(a, 2)
         backward(sum_all(h))
-        assert h.grad is None and h._record.edges == () and h._record.done
-        assert not a._record.done
+        assert h.grad is None and h._record.edges == () and h._record.op == "mul_scalar"
+        assert a._record.edges == () and a._record.op == "leaf"
         np.testing.assert_array_equal(a.grad, [2.0])
         # b's edge would run first, so a check made as the pass goes would already have written b.grad
         with pytest.raises(UsageError, match="backward already ran through this mul_scalar node"):
@@ -655,10 +655,10 @@ class TestBackward:
         backward(loss)
         assert mk.tape_for(loss).records == [loss._record]
         for r in records:
-            if r.op == "leaf":
-                assert r.grad is not None and not r.done
-            else:
-                assert r.edges == () and r.grad is None and r.done
+            if r.op == "leaf":  # a leaf has no edges and is never used
+                assert r.grad is not None and r.edges == ()
+            else:  # an op record with no edges is used
+                assert r.edges == () and r.grad is None
 
     @staticmethod
     def _fresh_graphs_agree_and_a_used_one_is_refused(forward, leaves, cot, op):
@@ -956,6 +956,11 @@ NORM_CASES = {
 }
 
 
+# every nonempty subset of a fused op's three parents, by index
+TRACKED_SUBSETS = [t for n in (1, 2, 3) for t in itertools.combinations(range(3), n)]
+TRACKED_IDS = ["-".join(("x", "gain", "bias")[i] for i in t) for t in TRACKED_SUBSETS]
+
+
 def _norm_inputs(shape, seed):
     rng = np.random.default_rng(seed)
     channels = shape[-1]
@@ -986,6 +991,29 @@ class TestNormalize:
             lambda i: sum_all(hadamard(mk.normalize(i[0], axes, i[1], i[2]), Tensor(cot))),
             [Tensor(x), Tensor(gain), Tensor(bias)])
         assert err < 1e-6
+
+    @pytest.mark.parametrize("tracked", TRACKED_SUBSETS, ids=TRACKED_IDS)
+    @pytest.mark.parametrize("case", sorted(NORM_CASES))
+    def test_tracked_parents_get_the_all_tracked_gradients_and_the_rest_none(self, case, tracked):
+        # the one adjoint pass computes dx, dgain and dbias whichever are tracked; the tape keeps
+        # only the tracked parents' edges
+        shape, axes = NORM_CASES[case]
+        *arrays, cot = _norm_inputs(shape, 13)
+        every = [Tensor(a, requires_grad=True) for a in arrays]
+        backward(sum_all(hadamard(mk.normalize(every[0], axes, every[1], every[2]), Tensor(cot))))
+        inputs = [Tensor(a, requires_grad=i in tracked) for i, a in enumerate(arrays)]
+        out = mk.normalize(inputs[0], axes, inputs[1], inputs[2])
+        assert len(out._record.edges) == len(tracked)
+        backward(sum_all(hadamard(out, Tensor(cot))))
+        for i, (got, want) in enumerate(zip(inputs, every)):
+            if i in tracked:
+                np.testing.assert_array_equal(got.grad, want.grad)
+            else:
+                assert got.grad is None
+        grads = [t.grad for t in inputs]
+        with pytest.raises(UsageError, match="backward already ran through this normalize node"):
+            backward(sum_all(hadamard(out, Tensor(cot))))
+        assert all(t.grad is g for t, g in zip(inputs, grads))
 
     def test_affine_that_does_not_broadcast_to_the_input_rejected(self):
         with pytest.raises(DimensionError, match=r"\(3,\)"):
