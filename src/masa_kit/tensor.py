@@ -57,6 +57,15 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # batch axes: its working memory is a few float64 arrays of this many entries.
 ATTENTION_BLOCK_ELEMENTS = 1 << 20
 
+# How far (in logits) a row's own diagonal logit may lie below its Cauchy-Schwarz
+# bound before ``decayed_attention`` shifts that row by its exact maximum instead:
+# within it, the largest exponential is at least e^-64 (1.6e-28), far above underflow.
+SHIFT_MARGIN = 64.0
+
+# Largest im2col matrix, in bytes, that ``conv2d``'s weight adjoint builds whole for
+# one GEMM; above it the adjoint goes tap by tap, so its backward peak stays small.
+CONV_IM2COL_BYTES = 4 << 20
+
 
 class MacCounter:
     """Running total of multiply-accumulate operations (one MAC = one FLOP)."""
@@ -653,17 +662,25 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, decay: tuple[np.ndarray, 
     D[n, m] = a[y_m - y_n + Ha - 1] * b[x_m - x_n + Wb - 1].
 
     Query rows run in blocks of about ``ATTENTION_BLOCK_ELEMENTS`` logits. A
-    row's softmax needs only its own keys, so the blocks are exact. Each block's
-    exponentials are multiplied in place by the decay, one pass over windows of
-    the [..., 2Ha-1, 2Wb-1] kernel product of a and b (``_decay_in_place``), and
-    applied to v before the division by their row sum. One log-sum-exp per
-    query row is kept, so the backward pass rebuilds each block's weights from
-    q and k in three passes (a matmul, a subtraction, an exp), and the kernel
-    product from a and b: no [L, L] array outlives a block, and the tape keeps
-    the two axial kernels, not their product. The one backward pass (``_shared``)
-    computes dq, dk and dv, so a constant q, k or v gets its gradient computed and
-    dropped; no caller in the package passes one. The MACs counted are those of
-    q k^T and of the weights times v, in the forward pass only.
+    row's softmax needs only its own keys, so the blocks are exact. Each pass
+    builds [q/sqrt(d) | -c] and [k | 1] once, as contiguous copies, so each
+    block's score matmul returns the logits already shifted by the column c and
+    goes straight to exp. The forward takes c_n as the Cauchy-Schwarz bound
+    |q_n/sqrt(d)| * max_m |k_m| of the batch entry, so no exponential
+    overflows; a row whose own diagonal logit q_n k_n / sqrt(d) lies more than
+    ``SHIFT_MARGIN`` (64) below that bound takes c_n = 0 instead and is shifted
+    by its exact maximum, so its largest exponential stays far from underflow.
+    The exponentials are multiplied in place by the decay, one pass over windows
+    of the [..., 2Ha-1, 2Wb-1] kernel product of a and b (``_decay_in_place``),
+    and applied to v before the division by their row sum z. One log-sum-exp,
+    c + log z, per query row is kept; the backward pass rebuilds both copies with
+    the log-sum-exp as c, so each block's weights take two passes (a matmul, an
+    exp), and the kernel product from a and b: no [L, L] array outlives a block,
+    and the tape keeps the output, the log-sum-exps and the two axial kernels.
+    The one backward pass (``_shared``) computes dq, dk and dv, so a constant q,
+    k or v gets its gradient computed and dropped; no caller in the package
+    passes one. The MACs counted are those of q k^T and of the weights times v,
+    without the shift column, in the forward pass only.
     """
     q, k, v = _ensure(q), _ensure(k), _ensure(v)
     if q.ndim < 2 or k.shape != q.shape or v.ndim != q.ndim or v.shape[:-1] != q.shape[:-1]:
@@ -693,37 +710,51 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, decay: tuple[np.ndarray, 
         """The [..., 2Ha-1, 2Wb-1] kernel product of a and b, built once per pass over the blocks."""
         return None if a is None else a[..., :, None] * b[..., None, :]
     scale = 1.0 / math.sqrt(q.shape[-1])
-    kt = kd.swapaxes(-1, -2)
+
+    def shifted(qs: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """[qs | -c] and [k | 1]^T: their matmul is the logits of qs minus c, row by row."""
+        return (np.concatenate((qs, -c), axis=-1),
+                np.concatenate((kd, np.ones(kd.shape[:-1] + (1,))), axis=-1).swapaxes(-1, -2))
     n_batch = int(np.prod(batch, dtype=np.int64))
     blocks = _row_blocks(n_batch, length)
     data = np.empty(q.shape[:-1] + v.shape[-1:])
     out = tokens_last(data)
-    lse = np.empty(qd.shape[:-1] + (1,))
+    qs = qd * scale
+    lse = np.sqrt(np.einsum("...i,...i->...", qs, qs))[..., None]  # c, then c + log z
+    lse *= np.sqrt(np.einsum("...i,...i->...", kd, kd).max(axis=-1, initial=0.0))[..., None, None]
+    exact = lse[..., 0] - np.einsum("...i,...i->...", qs, kd) > SHIFT_MARGIN
+    lse[exact] = 0.0
+    qc, kc = shifted(qs, lse)
+    del qs
     kern = kernel()
     for start, stop in blocks:
         rows = (Ellipsis, slice(start, stop), slice(None))
-        e = (qd[rows] * scale) @ kt
-        peak = e.max(axis=-1, keepdims=True)
-        e -= peak
+        e = qc[rows] @ kc
+        far = exact[..., start:stop]
+        if far.any():
+            peak = e[far].max(axis=-1, keepdims=True)
+            e[far] -= peak
+            lse[rows][far] = peak
         np.exp(e, out=e)
         z = e.sum(axis=-1, keepdims=True)
         _decay_in_place(e, kern, start, stop)
         np.divide(e @ vd, z, out=out[rows])
-        lse[rows] = peak + np.log(z)
+        del e  # so the next block's logits are not made while these are alive
+        lse[rows] += np.log(z)
     _record_macs(n_batch * length * length * (q.shape[-1] + v.shape[-1]))
 
     def adjoint(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         grads = np.empty(q.shape), np.zeros(k.shape), np.zeros(v.shape)
         dq, dk, dv = (tokens_last(grad) for grad in grads)
         vt = vd.swapaxes(-1, -2)
+        qc, kc = shifted(qd * scale, lse)
         kern = kernel()
         # rowsum(dP * P) = rowsum(dW * W) = g . out per row, as rows are not renormalized
         delta = tokens_last((g * data).sum(axis=-1, keepdims=True))
         g = tokens_last(g)
         for start, stop in blocks:
             rows = (Ellipsis, slice(start, stop), slice(None))
-            p = (qd[rows] * scale) @ kt
-            p -= lse[rows]
+            p = qc[rows] @ kc
             np.exp(p, out=p)
             ds = g[rows] @ vt
             _decay_in_place(ds, kern, start, stop)
@@ -797,12 +828,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -
     ``_windows`` flattened, whose columns run in (i, j, cin) order, so the gather moves
     whole contiguous channel vectors; the weight, viewed as [k*k*Cin, Cout], is the
     other operand. The tape keeps neither the im2col matrix nor the padded input. The
-    adjoints go tap by tap, so neither builds an im2col-sized array: the input adjoint
-    adds g @ weight[i, j]^T into tap (i, j)'s strided window of the padded gradient,
-    and the weight adjoint fills weight[i, j]'s gradient from g and the windows of
-    that tap, rebuilt from the input. Each entry sums the same Cout or Ho*Wo terms
-    as one matmul over the whole matrix; BLAS adds them in the same order on the
-    model's large matrices, while its small-matrix kernels may round differently.
+    input adjoint goes tap by tap, adding g @ weight[i, j]^T into tap (i, j)'s strided
+    window of the padded gradient, so it builds no im2col-sized array. The weight
+    adjoint rebuilds the im2col matrix from the input for one matmul with g when it
+    is at most ``CONV_IM2COL_BYTES``; above that it fills weight[i, j]'s gradient
+    from g and the windows of that tap alone. Each entry sums the same Cout or
+    Ho*Wo terms as one matmul over the whole matrix; BLAS adds them in the same
+    order on the model's large matrices, while its small-matrix kernels may round
+    differently.
     """
     x, weight, bias = _ensure(x), _ensure(weight), _ensure(bias)
     if x.ndim != 3 or weight.ndim != 4:
@@ -837,6 +870,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -
     def vjp_weight(g: np.ndarray) -> np.ndarray:
         # (g^T window)^T keeps the operand order of (g^T im2col)^T, so each tap sums the same way
         gt, windows = g.reshape(ho * wo, cout).T, _windows(x.data, k, p, s)
+        if windows.size * windows.itemsize <= CONV_IM2COL_BYTES:
+            return (gt @ windows.reshape(ho * wo, -1)).T.reshape(weight.shape)
         out = np.empty(weight.shape)
         for i, j in taps:
             out[i, j] = (gt @ windows[:, :, i, j].reshape(ho * wo, cin)).T

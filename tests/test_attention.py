@@ -783,6 +783,102 @@ class TestDecayedAttentionTrackedSubsets:
         assert all(t.grad is g for t, g in zip(inputs, grads))
 
 
+def _shift_gap(q, k, axis=-2):
+    """Per query row, how far its diagonal logit q_n k_n / sqrt(d) lies below the bound
+    |q_n / sqrt(d)| * max_m |k_m| of its batch entry; [..., L] with the tokens last."""
+    q, k = np.moveaxis(q, axis, -2) / math.sqrt(q.shape[-1]), np.moveaxis(k, axis, -2)
+    bound = np.linalg.norm(q, axis=-1) * np.linalg.norm(k, axis=-1).max(axis=-1, keepdims=True)
+    return bound - (q * k).sum(axis=-1)
+
+
+def _oracle_along(q, k, v, cotangent, factors, axis):
+    """[out, dq, dk, dv] of ``composite_attend`` on copies with the token axis moved next to the features."""
+    def tokens_last(a):
+        return np.ascontiguousarray(np.moveaxis(a, axis, -2))
+    decay = None if factors is None else Tensor(kernel_decay(*factors))
+    tracked = [Tensor(tokens_last(a), requires_grad=True) for a in (q, k, v)]
+    out = composite_attend(*tracked, decay, 1 / math.sqrt(q.shape[-1]))
+    backward(sum_all(hadamard(out, Tensor(tokens_last(cotangent)))))
+    return [np.moveaxis(a, -2, axis) for a in [out.data] + [t.grad for t in tracked]]
+
+
+class TestFoldedShift:
+    """Rows shifted by their bound inside the score matmul, and rows past the margin shifted by their maximum."""
+
+    @staticmethod
+    def _check(q, k, v, cotangent, factors, axis=-2):
+        fused = _attend_and_backward(q, k, v, factors, cotangent, axis=axis)
+        for got, want in zip(fused, _oracle_along(q, k, v, cotangent, factors, axis)):
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("block_elements", [1 << 20, 7], ids=["one-block", "row-blocks"])
+    @pytest.mark.parametrize("axis", [-2, -3])
+    def test_blocks_mixing_bound_rows_with_rows_past_the_margin(self, monkeypatch, axis, block_elements):
+        # alternate query rows at 300x push their diagonal logit hundreds below the bound
+        monkeypatch.setattr(tensor_module, "ATTENTION_BLOCK_ELEMENTS", block_elements)
+        if axis == -3:
+            (q, k, v, cot), factors = TestDecayedAttentionAxis._column_case()
+        else:
+            rng = np.random.default_rng(48)
+            q, k, v, cot = (rng.standard_normal((2, 6, 4)) for _ in range(4))
+            factors = _kernels(2, 3, gamma_schedule(2, 8, 2))
+        np.moveaxis(q, axis, 0)[1::2] *= 300.0
+        gap = _shift_gap(q, k, axis)
+        far = gap > tensor_module.SHIFT_MARGIN
+        assert far[..., 1::2].all() and not far[..., ::2].any()
+        self._check(q, k, v, cot, factors, axis)
+
+    @pytest.mark.parametrize("axis", [-2, -3])
+    def test_gradcheck_with_rows_past_the_margin(self, axis):
+        rng = np.random.default_rng(49)
+        shape = (2, 3, 2, 2) if axis == -3 else (2, 4, 2)
+        q, k, v = (rng.uniform(-1, 1, shape) for _ in range(3))
+        np.moveaxis(q, axis, 0)[1::2] *= 300.0
+        a, b = _kernels(1, shape[axis], gamma_schedule(2, 8, 2))
+        factors = (a[:, None], b[:, None]) if axis == -3 else (a, b)
+        assert (_shift_gap(q, k, axis) > tensor_module.SHIFT_MARGIN).any()
+        err, _ = finite_diff_gradcheck(
+            lambda i: sum_all(decayed_attention(i[0], i[1], i[2], factors, axis=axis)),
+            [Tensor(a) for a in (q, k, v)], eps=1e-6)
+        assert err < 1e-6
+
+    def test_rows_just_inside_and_just_outside_the_margin_and_all_zero_rows(self):
+        # rows 0 and 1 sit half a logit inside and outside the margin, rows 2 and 3 are zero
+        # (bound 0, every logit 0), rows 4 and 5 are plain normal draws
+        rng = np.random.default_rng(50)
+        q, k, v, cot = (rng.standard_normal((6, 4)) for _ in range(4))
+        scale = 1 / math.sqrt(4)
+        k_max = np.linalg.norm(k, axis=-1).max()
+        for row, gap in ((0, tensor_module.SHIFT_MARGIN - 0.5), (1, tensor_module.SHIFT_MARGIN + 0.5)):
+            unit = q[row] / np.linalg.norm(q[row])
+            q[row] = unit * gap / (scale * (k_max - unit @ k[row]))
+        q[2:4] = 0.0
+        gap = _shift_gap(q, k)
+        assert gap[0] < tensor_module.SHIFT_MARGIN < gap[1]
+        assert gap[2] == gap[3] == 0.0
+        factors = _kernels(2, 3, 0.7)
+        self._check(q, k, v, cot, factors)
+        err, _ = finite_diff_gradcheck(
+            lambda i: sum_all(hadamard(decayed_attention(i[0], i[1], i[2], factors), Tensor(cot))),
+            [Tensor(a) for a in (q, k, v)], eps=1e-6)
+        assert err < 1e-6
+
+    def test_a_side_48_forward_peaks_at_one_block_of_logits_and_the_two_shifted_copies(self):
+        rng = np.random.default_rng(51)
+        grid, d = GridShape(48, 48), 32
+        q, k, v = (Tensor(rng.standard_normal((grid.size, d)), requires_grad=True) for _ in range(3))
+        rows = max(stop - start for start, stop in tensor_module._row_blocks(1, grid.size))
+        tracemalloc.start()
+        try:
+            out = masa_full(q, k, v, grid, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block, copies = rows * grid.size * 8, 2 * grid.size * (d + 1) * 8
+        assert peak <= block + copies + out.data.nbytes + 2 ** 20
+
+
 class TestAxialFactors:
     @pytest.mark.parametrize("grid", [GridShape(3, 5), GridShape(1, 5), GridShape(1, 3)],
                              ids=["3x5", "row-pass-1x5", "column-pass-1x3"])

@@ -469,6 +469,21 @@ class TestConv2d:
         np.testing.assert_array_equal(tracked[0].grad, dx)
         np.testing.assert_array_equal(tracked[1].grad, dw)
 
+    @pytest.mark.parametrize("cout,stride,whole", [(128, 2, True), (64, 1, False)],
+                             ids=["one-matmul", "tap-by-tap"])
+    def test_weight_adjoint_on_each_side_of_the_im2col_budget_equals_the_im2col_one_bit_for_bit(
+            self, cout, stride, whole):
+        # rmt-t's stage-1 downsample (a 3.6 MB im2col matrix) and a 56^2 x 64 -> 64 convolution (14.5 MB)
+        rng = np.random.default_rng(72)
+        x, w, b = rng.standard_normal((56, 56, 64)), rng.standard_normal((3, 3, 64, cout)), rng.standard_normal(cout)
+        tracked = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        out = conv2d(*tracked, stride=stride, padding=1)
+        ho, wo, _ = out.shape
+        assert (ho * wo * 9 * 64 * 8 <= mk.tensor.CONV_IM2COL_BYTES) == whole
+        cot = rng.standard_normal(out.shape)
+        backward(sum_all(hadamard(out, Tensor(cot))))
+        np.testing.assert_array_equal(tracked[1].grad, conv2d_im2col_adjoints(x, w, cot, stride, 1)[1])
+
     def test_backward_peak_at_the_stem_stays_near_the_gradients(self):
         # one im2col matrix of this 112^2 stem convolution, or its cotangent, is 29 MB; tap by
         # tap, the adjoints need the padded input and one tap's [Ho*Wo, Cin] matrix, 3.3 MB each
