@@ -109,52 +109,43 @@ def bi_retention(q: Tensor, k: Tensor, v: Tensor, gamma: float) -> Tensor:
 
 
 def token_image(x: Tensor, grid: GridShape) -> Tensor:
-    """[..., N, C] tokens as the channels-last [..., H, W, C] map of their grid: one reshape."""
-    if x.ndim < 2 or x.shape[-2] != grid.size:
-        raise DimensionError(f"expected [..., N, C] tokens filling a {grid.height}x{grid.width} grid, "
+    """[N, ..., C] tokens as the channels-last [H, W, ..., C] map of their grid: one reshape."""
+    if x.ndim < 2 or x.shape[0] != grid.size:
+        raise DimensionError(f"expected [N, ..., C] tokens filling a {grid.height}x{grid.width} grid, "
                              f"got {x.shape}")
-    return reshape(x, x.shape[:-2] + (grid.height, grid.width, x.shape[-1]))
+    return reshape(x, (grid.height, grid.width) + x.shape[1:])
 
 
 def _check_rates(q: Tensor, gamma: float | tuple[float, ...] | None) -> None:
-    if isinstance(gamma, tuple) and (q.ndim < 3 or q.shape[0] != len(gamma)):
-        raise DimensionError(f"{len(gamma)} decay rates need a first (head) axis of that length "
-                             f"before the [N, d] tokens, got {q.shape}")
+    if isinstance(gamma, tuple) and (q.ndim < 3 or q.shape[-2] != len(gamma)):
+        raise DimensionError(f"{len(gamma)} decay rates need a head axis of that length "
+                             f"just before the features, got {q.shape}")
 
 
-def _axial_factors(grid: GridShape, gamma: float | tuple[float, ...] | None,
-                   ndim: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """``decay_axial_kernels`` of ``grid`` for ``decayed_attention`` on ``ndim``-axis inputs.
-
-    Per-head kernels [heads, 2n - 1] become [heads, 1, ..., 2n - 1], so that they
-    lead a batch of ndim - 2 axes whose first is the head axis.
-    """
-    if gamma is None:
-        return None
-    factors = decay_axial_kernels(grid, gamma)
-    if isinstance(gamma, tuple):
-        factors = tuple(f.reshape(f.shape[:1] + (1,) * (ndim - 3) + f.shape[1:]) for f in factors)
-    return factors
+def _kernels(grid: GridShape,
+             gamma: float | tuple[float, ...] | None) -> tuple[np.ndarray, np.ndarray] | None:
+    return None if gamma is None else decay_axial_kernels(grid, gamma)
 
 
 def masa_full(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
               gamma: float | tuple[float, ...] | None) -> Tensor:
     """Softmax attention with a Manhattan decay prior over a 2D token grid.
 
-    q, k and v are [..., N, d] over the N tokens of ``grid``; the leading axes
-    are a batch. Softmax runs row-wise first; the decay matrix then multiplies
-    the weights entrywise and the rows are deliberately not renormalized. The
-    logits are divided by sqrt(d) before the softmax, as ``decayed_attention``
-    does. ``gamma`` is one rate, None (no decay: plain softmax attention), or a
-    tuple with one rate per entry of the first axis (the heads), shared by any
-    axes between it and N. The decay enters as its two axial kernels over
-    token offsets (``decay_axial_kernels``), so no N x N matrix is built.
+    q, k and v are [N, ..., d] over the N tokens of ``grid``: tokens first,
+    features last, and the axes between them a batch. Softmax runs row-wise
+    first; the decay matrix then multiplies the weights entrywise and the rows
+    are deliberately not renormalized. The logits are divided by sqrt(d) before
+    the softmax, as ``decayed_attention`` does. ``gamma`` is one rate, None (no
+    decay: plain softmax attention), or a tuple with one rate per entry of the
+    axis just before the features (the heads), shared by any axes before it.
+    The decay enters as its two axial kernels over token offsets
+    (``decay_axial_kernels``), so no N x N matrix is built.
     """
-    if q.shape[-2:-1] != (grid.size,):
-        raise DimensionError(f"expected [..., N, d] tokens filling a {grid.height}x{grid.width} grid, "
+    if q.shape[:1] != (grid.size,):
+        raise DimensionError(f"expected [N, ..., d] tokens filling a {grid.height}x{grid.width} grid, "
                              f"got {q.shape}")
     _check_rates(q, gamma)
-    return decayed_attention(q, k, v, _axial_factors(grid, gamma, q.ndim))
+    return decayed_attention(q, k, v, _kernels(grid, gamma), axis=0)
 
 
 def masa_decomposed(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
@@ -165,15 +156,14 @@ def masa_decomposed(q: Tensor, k: Tensor, v: Tensor, grid: GridShape,
     attention weighted by its own 1D decay matrix, the decay of a one-row grid.
     Because the 2D decay factors exactly over the axes, the spatial prior of
     the full form is preserved; with uniform attention weights the two forms
-    coincide. Both passes attend over the same [..., H, W, d] images of q and k:
-    the row pass along the W axis, and the column pass along the H axis, with
-    the row pass's output as its v. No grid axis is swapped by a copy.
+    coincide. Both passes attend over the same [H, W, ..., d] images of q and k:
+    the row pass along the W axis (1), and the column pass along the H axis (0),
+    with the row pass's output as its v. No grid axis is swapped by a copy.
     """
     _check_rates(q, gamma)
     qi, ki, vi = (token_image(t, grid) for t in (q, k, v))
-    rows = decayed_attention(qi, ki, vi, _axial_factors(GridShape(1, grid.width), gamma, qi.ndim))
-    out = decayed_attention(qi, ki, rows, _axial_factors(GridShape(1, grid.height), gamma, qi.ndim),
-                            axis=-3)
+    rows = decayed_attention(qi, ki, vi, _kernels(GridShape(1, grid.width), gamma), axis=1)
+    out = decayed_attention(qi, ki, rows, _kernels(GridShape(1, grid.height), gamma), axis=0)
     return reshape(out, v.shape)
 
 
@@ -186,9 +176,10 @@ def masa_layer_forward(x: Tensor, params: MaSAParams, config: MaSAConfig,
                        grid: GridShape) -> Tensor:
     """Multi-head Manhattan attention layer.
 
-    Projects Q, K, V and splits the channels into heads, [heads, N, head_dim],
-    that run as the batch axis of one kernel call, each with its own decay
-    rate: no head is sliced out and no head output is concatenated. The
+    Projects Q, K, V and splits the channels into heads by a reshape,
+    [N, heads, head_dim], a view of each projection. The heads run as the
+    batch axis of one kernel call, each with its own decay rate: no head is
+    sliced out, no head output is concatenated and nothing is transposed. The
     kernel (``masa_full`` or ``masa_decomposed``) follows the config. The
     depthwise local-context term of the undivided V is added to the merged
     heads, and the output projection is applied to the sum.
@@ -205,11 +196,9 @@ def masa_layer_forward(x: Tensor, params: MaSAParams, config: MaSAConfig,
         raise ConfigurationError(f"lce_kernel_weights must have an odd kernel size, got {k_sz}")
 
     q, k, v = (matmul(x, wt) for wt in (params.wq, params.wk, params.wv))
-    qh, kh, vh = (transpose(reshape(t, (grid.size, config.num_heads, config.head_dim)), (1, 0, 2))
-                  for t in (q, k, v))
+    qh, kh, vh = (reshape(t, (grid.size, config.num_heads, config.head_dim)) for t in (q, k, v))
     out = (masa_decomposed if config.decomposed else masa_full)(qh, kh, vh, grid, config.decay)
-    attn = reshape(transpose(out, (1, 0, 2)), (grid.size, dim))
-    return matmul(attn + lce(v, grid, params.lce_kernel_weights), params.wo)
+    return matmul(reshape(out, x.shape) + lce(v, grid, params.lce_kernel_weights), params.wo)
 
 
 def attention_score_apply_macs(mode: str, height: int, width: int, head_dim: int) -> int:

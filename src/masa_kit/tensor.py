@@ -657,9 +657,10 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, decay: tuple[np.ndarray, 
     features, so no copy is made to move it. ``decay`` is None (no decay) or
     a pair of constant ndarrays, the axial kernels a [..., 2Ha-1] and
     b [..., 2Wb-1] with Ha * Wb = L, whose leading axes broadcast to the
-    batch; the backward reads them, so the caller must not change them. Key m
-    sits at (x_m, y_m) = (m % Wb, m // Wb) on an Ha x Wb grid, and
-    D[n, m] = a[y_m - y_n + Ha - 1] * b[x_m - x_n + Wb - 1].
+    batch, so per-head kernels [heads, 2n-1] broadcast against a batch whose
+    last axis is the heads; the backward reads them, so the caller must not
+    change them. Key m sits at (x_m, y_m) = (m % Wb, m // Wb) on an Ha x Wb
+    grid, and D[n, m] = a[y_m - y_n + Ha - 1] * b[x_m - x_n + Wb - 1].
 
     Query rows run in blocks of about ``ATTENTION_BLOCK_ELEMENTS`` logits. A
     row's softmax needs only its own keys, so the blocks are exact. Each pass

@@ -14,7 +14,6 @@ from masa_kit import (ConfigurationError, DimensionError, GridShape, MaSAConfig,
                       masa_decomposed, masa_full, masa_layer_forward, matmul, mul_scalar,
                       retention_parallel, retention_recurrent, softmax_last, sum_all, tape_for,
                       transpose)
-from masa_kit import attention as attention_module
 from masa_kit import tensor as tensor_module
 from masa_kit.train import finite_diff_gradcheck
 
@@ -43,30 +42,27 @@ def masa_full_oracle(q, k, v, height, width, gamma):
     return weights @ v
 
 
-def axis_decay(length, gamma, batch_ndim):
-    """gamma**|i - j| along one axis: [L, L], or [heads, 1, ..., L, L] for a tuple of rates."""
+def axis_decay(length, gamma):
+    """gamma**|i - j| along one axis: [L, L], or [heads, L, L] for a tuple of rates."""
     if not isinstance(gamma, tuple):
         return manhattan_weights(1, length, gamma)
-    decay = np.stack([manhattan_weights(1, length, g) for g in gamma])
-    return decay.reshape(decay.shape[:1] + (1,) * (batch_ndim - 1) + decay.shape[1:])
+    return np.stack([manhattan_weights(1, length, g) for g in gamma])
 
 
 def masa_decomposed_oracle(q, k, v, height, width, gamma):
-    """[..., N, d] arrays attended along each row with the width decay, then each column
+    """[N, ..., d] arrays attended along each row with the width decay, then each column
     with the height decay, each pass the composite step of ``composite_attend``."""
     def image(a):
-        return a.reshape(a.shape[:-2] + (height, width, a.shape[-1]))
+        return a.reshape((height, width) + a.shape[1:])
 
-    def attend(q, k, v, length):
-        decay = None if gamma is None else Tensor(axis_decay(length, gamma, q.ndim - 2))
-        return composite_attend(Tensor(q), Tensor(k), Tensor(v), decay,
-                                1 / math.sqrt(q.shape[-1])).data
-
-    def columns(a):
-        return np.swapaxes(a, -2, -3)
-    rows = attend(image(q), image(k), image(v), width)
-    out = attend(columns(image(q)), columns(image(k)), columns(rows), height)
-    return columns(out).reshape(v.shape)
+    def attend(q, k, v, axis, length):
+        """One pass along ``axis`` of [H, W, ..., d] images, run with that axis next to d."""
+        decay = None if gamma is None else Tensor(axis_decay(length, gamma))
+        q, k, v = (Tensor(np.moveaxis(a, axis, -2)) for a in (q, k, v))
+        out = composite_attend(q, k, v, decay, 1 / math.sqrt(q.shape[-1])).data
+        return np.moveaxis(out, -2, axis)
+    rows = attend(image(q), image(k), image(v), 1, width)
+    return attend(image(q), image(k), rows, 0, height).reshape(v.shape)
 
 
 def composite_attend(q, k, v, decay, scale):
@@ -239,7 +235,7 @@ class TestMasaDecomposed:
     @pytest.mark.parametrize("height,width", [(2, 3), (3, 5), (4, 4), (1, 4), (5, 1)])
     def test_against_rows_then_columns_oracle(self, lead, gamma, height, width):
         rng = np.random.default_rng(height * 10 + width)
-        q, k, v = (rng.standard_normal(lead + (height * width, 3)) for _ in range(3))
+        q, k, v = (rng.standard_normal((height * width,) + lead + (3,)) for _ in range(3))
         out = masa_decomposed(Tensor(q), Tensor(k), Tensor(v), GridShape(height, width), gamma)
         expected = masa_decomposed_oracle(q, k, v, height, width, gamma)
         assert np.max(np.abs(out.data - expected)) < 1e-12
@@ -263,31 +259,31 @@ class TestMasaDecomposed:
 
 @pytest.mark.parametrize("kernel", [masa_full, masa_decomposed])
 class TestHeadAxis:
-    """A tuple of rates gives each entry of the first axis its own decay."""
+    """A tuple of rates gives each entry of the axis before the features (the heads) its own decay."""
 
     def test_equals_the_stacked_single_rate_calls_with_their_gradients(self, kernel):
         rng = np.random.default_rng(41)
         grid, gammas = GridShape(2, 3), (0.3, 0.6, 0.9)
-        arrays = [rng.standard_normal((3, grid.size, 4)) for _ in range(4)]
+        arrays = [rng.standard_normal((grid.size, 3, 4)) for _ in range(4)]
         q, k, v = (Tensor(a, requires_grad=True) for a in arrays[:3])
         out = kernel(q, k, v, grid, gammas)
         backward(sum_all(hadamard(out, Tensor(arrays[3]))))
         for h, gamma in enumerate(gammas):
-            qh, kh, vh = (Tensor(a[h], requires_grad=True) for a in arrays[:3])
+            qh, kh, vh = (Tensor(a[:, h], requires_grad=True) for a in arrays[:3])
             head = kernel(qh, kh, vh, grid, gamma)
-            backward(sum_all(hadamard(head, Tensor(arrays[3][h]))))
-            assert np.max(np.abs(out.data[h] - head.data)) < 1e-12
+            backward(sum_all(hadamard(head, Tensor(arrays[3][:, h]))))
+            assert np.max(np.abs(out.data[:, h] - head.data)) < 1e-12
             for batched, single in ((q, qh), (k, kh), (v, vh)):
-                assert np.max(np.abs(batched.grad[h] - single.grad)) < 1e-12
+                assert np.max(np.abs(batched.grad[:, h] - single.grad)) < 1e-12
 
     @pytest.mark.parametrize("grid,shape,gammas", [
-        ((2, 3), (6, 4), (0.5, 0.7)), ((2, 3), (6, 4), (0.5,) * 6), ((2, 3), (3, 6, 4), (0.5, 0.7)),
-        ((2, 3), (2, 6, 4), (0.5,)), ((2, 3), (3, 6, 4), ()),
-        # the decomposed form's [2, 2, d] token image has a first axis as long as the tuple
+        ((2, 3), (6, 4), (0.5, 0.7)), ((2, 3), (6, 4), (0.5,) * 6), ((2, 3), (6, 3, 4), (0.5, 0.7)),
+        ((2, 3), (6, 2, 4), (0.5,)), ((2, 3), (6, 3, 4), ()),
+        # the decomposed form's [2, 2, d] token image has an axis before d as long as the tuple
         ((2, 2), (4, 4), (0.5, 0.7))],
         ids=["2-d", "2-d-one-rate-per-token", "too-few", "too-one", "none", "2-d-one-rate-per-row"])
-    def test_a_rate_tuple_that_does_not_match_the_first_axis_rejected(self, kernel, grid, shape,
-                                                                       gammas):
+    def test_a_rate_tuple_that_does_not_match_the_head_axis_rejected(self, kernel, grid, shape,
+                                                                      gammas):
         rng = np.random.default_rng(42)
         q = rand(rng, *shape)
         with pytest.raises(DimensionError, match="decay rates"):
@@ -423,6 +419,27 @@ class TestMasaLayer:
         with pytest.raises(UsageError, match="backward already ran through this matmul node"):
             backward(sum_all(hadamard(out, cot)))
         assert all(t.grad is g for t, g in zip(leaves, freed))
+
+    @pytest.mark.parametrize("decomposed", [False, True], ids=["full", "decomposed"])
+    def test_the_kernel_reads_q_k_and_v_as_views_of_their_projections(self, decomposed,
+                                                                     keep_every_value):
+        # the heads are split by a reshape, [N, heads, head_dim], and merged by one: no transpose
+        # copies a projection or the output
+        grid = GridShape(2, 3)
+        config, params, x = _layer_setup(np.random.default_rng(51), dim=4, heads=2,
+                                         decomposed=decomposed, grid=grid)
+        records = tape_for(masa_layer_forward(x, params, config, grid)).records
+        assert "transpose" not in {r.op for r in records}
+        projections = set()
+        for attn in (r for r in records if r.op == "decayed_attention"):
+            for parent in (p for p, _ in attn.edges if p.op != "decayed_attention"):
+                source = parent
+                while source.op == "reshape":
+                    source = source.edges[0][0]
+                assert source.op == "matmul"
+                assert np.shares_memory(parent.tensor().data, source.tensor().data)
+                projections.add(source)
+        assert len(projections) == 3
 
     def test_decomposed_layer_runs_and_matches_kernel_composition(self):
         rng = np.random.default_rng(20)
@@ -877,20 +894,6 @@ class TestFoldedShift:
             tracemalloc.stop()
         block, copies = rows * grid.size * 8, 2 * grid.size * (d + 1) * 8
         assert peak <= block + copies + out.data.nbytes + 2 ** 20
-
-
-class TestAxialFactors:
-    @pytest.mark.parametrize("grid", [GridShape(3, 5), GridShape(1, 5), GridShape(1, 3)],
-                             ids=["3x5", "row-pass-1x5", "column-pass-1x3"])
-    def test_per_head_factors_index_to_each_heads_manhattan_decay(self, grid):
-        rates = gamma_schedule(2, 8, 3)
-        for ndim in (3, 4):
-            a, b = attention_module._axial_factors(grid, rates, ndim)
-            lead = (3,) + (1,) * (ndim - 3)
-            assert a.shape == lead + (2 * grid.height - 1,) and b.shape == lead + (2 * grid.width - 1,)
-            decay = kernel_decay(a.reshape(3, -1), b.reshape(3, -1))
-            for head, rate in enumerate(rates):
-                np.testing.assert_allclose(decay[head], decay_manhattan_2d(grid, rate).data, rtol=1e-15)
 
 
 def _decay_rows_by_every_split(w, kernel, length):

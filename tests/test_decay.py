@@ -193,6 +193,18 @@ class TestAxialKernels:
             np.testing.assert_array_equal(
                 stacked[i], np.stack([decay_axial_kernels(grid, g)[i] for g in gammas]))
 
+    @pytest.mark.parametrize("grid", [GridShape(3, 5), GridShape(1, 5), GridShape(1, 3)],
+                             ids=["3x5", "row-pass-1x5", "column-pass-1x3"])
+    def test_per_head_kernels_index_to_each_heads_manhattan_decay(self, grid):
+        # D[n, m] = a[y_m - y_n + H - 1] * b[x_m - x_n + W - 1], head by head
+        rates = gamma_schedule(2, 8, 3)
+        a, b = decay_axial_kernels(grid, rates)
+        x, y = grid.coords(np.arange(grid.size))
+        decay = (a[:, y[None, :] - y[:, None] + grid.height - 1]
+                 * b[:, x[None, :] - x[:, None] + grid.width - 1])
+        for head, rate in enumerate(rates):
+            np.testing.assert_allclose(decay[head], decay_manhattan_2d(grid, rate).data, rtol=1e-15)
+
     @pytest.mark.parametrize("gamma,fragment", [
         (1.5, r"decay rate must lie strictly inside \(0, 1\), got 1.5$"),
         (0.0, r"decay rate must lie strictly inside \(0, 1\), got 0.0$"),
