@@ -135,18 +135,18 @@ def _field(doc, key: str, kind: type):
     return float(value) if kind is float else value
 
 
-# Named presets: blocks, channels, heads, ffn ratios, decay exponent ranges.
+# Named presets: blocks, channels, heads, ffn ratios, decay exponent ranges, classes, default resolution.
 _PRESETS = {
     "rmt-t": ((2, 2, 8, 2), (64, 128, 256, 512), (4, 4, 8, 16), (3, 3, 3, 3),
-              (2, 2, 2, 2), (6, 6, 8, 8)),
+              (2, 2, 2, 2), (6, 6, 8, 8), 1000, 224),
     "rmt-s": ((3, 4, 18, 4), (64, 128, 256, 512), (4, 4, 8, 16), (4, 4, 3, 3),
-              (2, 2, 2, 2), (6, 6, 8, 8)),
+              (2, 2, 2, 2), (6, 6, 8, 8), 1000, 224),
     "rmt-b": ((4, 8, 25, 8), (80, 160, 320, 512), (5, 5, 10, 16), (4, 4, 3, 3),
-              (2, 2, 2, 2), (7, 7, 8, 8)),
+              (2, 2, 2, 2), (7, 7, 8, 8), 1000, 224),
     "rmt-l": ((4, 8, 25, 8), (112, 224, 448, 640), (7, 7, 14, 20), (4, 4, 3, 3),
-              (2, 2, 2, 2), (8, 8, 8, 8)),
+              (2, 2, 2, 2), (8, 8, 8, 8), 1000, 224),
     "tiny": ((1, 1, 1, 1), (16, 32, 64, 128), (2, 2, 4, 8), (2, 2, 2, 2),
-             (2, 2, 2, 2), (6, 6, 8, 8)),
+             (2, 2, 2, 2), (6, 6, 8, 8), 2, 32),
 }
 PRESET_NAMES = tuple(sorted(_PRESETS))
 
@@ -155,17 +155,15 @@ def preset_config(name: str, input_resolution: int | None = None) -> ModelConfig
     """Build one of the named configurations; stages 1-3 decomposed, stage 4 full."""
     if name not in _PRESETS:
         raise ConfigurationError(f"unknown preset {name!r}; known presets: {', '.join(PRESET_NAMES)}")
-    blocks, channels, heads, ratios, lowers, uppers = _PRESETS[name]
+    blocks, channels, heads, ratios, lowers, uppers, num_classes, resolution = _PRESETS[name]
     stages = tuple(
         StageConfig(num_blocks=blocks[i], channels=channels[i], heads=heads[i],
                     ffn_ratio=float(ratios[i]), decay_lower=float(lowers[i]),
                     decay_upper=float(uppers[i]), decomposed=(i < 3))
         for i in range(4)
     )
-    num_classes = 2 if name == "tiny" else 1000
-    if input_resolution is None:
-        input_resolution = 32 if name == "tiny" else 224
-    return ModelConfig(stages=stages, num_classes=num_classes, input_resolution=input_resolution)
+    return ModelConfig(stages=stages, num_classes=num_classes,
+                       input_resolution=resolution if input_resolution is None else input_resolution)
 
 
 # ---------------------------------------------------------------------------

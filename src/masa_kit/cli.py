@@ -169,7 +169,7 @@ def cmd_train_demo(args: argparse.Namespace) -> int:
     _check_writable(Path(args.out))
     model_config = blocks.preset_config("tiny")
     data_config = train.DataConfig(seed=args.seed, n=args.samples,
-                                   resolution=model_config.input_resolution, num_classes=2)
+                                   resolution=model_config.input_resolution, num_classes=model_config.num_classes)
     metrics = train.train_loop(model_config, data_config, args.steps, seed=args.seed,
                                eval_interval=args.eval_interval)
     rows = [[str(r.step), _fmt(r.loss), _fmt(r.accuracy)] for r in metrics.records]

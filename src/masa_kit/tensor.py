@@ -611,9 +611,13 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
 # Decayed softmax attention
 
 
-def _row_blocks(batch: int, length: int) -> list[tuple[int, int]]:
-    step = max(1, ATTENTION_BLOCK_ELEMENTS // max(1, batch * length))
-    return [(start, min(start + step, length)) for start in range(0, length, step)]
+def _row_blocks(batch: int, height: int, width: int) -> list[tuple[int, int]]:
+    """Query blocks of a height x width grid: whole grid rows if a row fits the budget, else cuts of one row."""
+    length = height * width
+    rows = ATTENTION_BLOCK_ELEMENTS // max(1, batch * length * width)
+    step = rows * width or max(1, ATTENTION_BLOCK_ELEMENTS // max(1, batch * length))
+    span = length if rows else width  # no block crosses the end of a span
+    return [(y + x, y + min(x + step, span)) for y in range(0, length, span or 1) for x in range(0, span, step)]
 
 
 def _decay_in_place(w: np.ndarray, kernel: np.ndarray | None, start: int, stop: int) -> None:
@@ -621,28 +625,20 @@ def _decay_in_place(w: np.ndarray, kernel: np.ndarray | None, start: int, stop: 
     kernel [..., 2Ha-1, 2Wb-1]: D[n, m] = kernel[y_m - y_n + Ha - 1, x_m - x_n + Wb - 1]; None is no decay.
 
     Query n's row of D is the [Ha, Wb] window of the kernel at (Ha-1 - y_n, Wb-1 - x_n),
-    so a run of queries is one strided view [..., ny, nx, Ha, Wb] with strides
-    (-s0, -s1, s0, s1): one multiply pass each for a partial first grid row, the
-    whole rows and a partial last row, with no gather and no block-sized temporary.
+    so a block of whole grid rows, or part of one row (``_row_blocks``), is one
+    strided view [..., ny, nx, Ha, Wb] with strides (-s0, -s1, s0, s1): one
+    multiply pass, with no gather and no block-sized temporary.
     """
     if kernel is None:
         return
     ha, wb = (kernel.shape[-2] + 1) // 2, (kernel.shape[-1] + 1) // 2
     s0, s1 = kernel.strides[-2:]
-    row = start
-    while row < stop:
-        y, x = divmod(row, wb)
-        if x == 0 and stop - row >= wb:  # whole grid rows
-            ny, nx = (stop - row) // wb, wb
-        else:  # part of one grid row
-            ny, nx = 1, min(wb - x, stop - row)
-        end = row + ny * nx
-        window = np.ndarray(kernel.shape[:-2] + (ny, nx, ha, wb), kernel.dtype, kernel,
-                            (ha - 1 - y) * s0 + (wb - 1 - x) * s1, kernel.strides[:-2] + (-s0, -s1, s0, s1))
-        block = w[..., row - start:end - start, :]
-        block = block.reshape(block.shape[:-2] + (ny, nx, ha, wb))  # a view: it only splits axes
-        block *= window
-        row = end
+    y, x = divmod(start, wb)
+    ny, nx = max(1, (stop - start) // wb), min(stop - start, wb)
+    window = np.ndarray(kernel.shape[:-2] + (ny, nx, ha, wb), kernel.dtype, kernel,
+                        (ha - 1 - y) * s0 + (wb - 1 - x) * s1, kernel.strides[:-2] + (-s0, -s1, s0, s1))
+    block = w.reshape(w.shape[:-2] + (ny, nx, ha, wb))  # a view: it only splits axes
+    block *= window
 
 
 def decayed_attention(q: Tensor, k: Tensor, v: Tensor, decay: tuple[np.ndarray, np.ndarray] | None,
@@ -662,8 +658,9 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, decay: tuple[np.ndarray, 
     change them. Key m sits at (x_m, y_m) = (m % Wb, m // Wb) on an Ha x Wb
     grid, and D[n, m] = a[y_m - y_n + Ha - 1] * b[x_m - x_n + Wb - 1].
 
-    Query rows run in blocks of about ``ATTENTION_BLOCK_ELEMENTS`` logits. A
-    row's softmax needs only its own keys, so the blocks are exact. Each pass
+    Query rows run in blocks of at most ``ATTENTION_BLOCK_ELEMENTS`` logits (or
+    of one query row), whole rows of the Ha x Wb grid or part of one row. A row's
+    softmax needs only its own keys, so the blocks are exact. Each pass
     builds [q/sqrt(d) | -c] and [k | 1] once, as contiguous copies, so each
     block's score matmul returns the logits already shifted by the column c and
     goes straight to exp. The forward takes c_n as the Cauchy-Schwarz bound
@@ -671,8 +668,8 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, decay: tuple[np.ndarray, 
     overflows; a row whose own diagonal logit q_n k_n / sqrt(d) lies more than
     ``SHIFT_MARGIN`` (64) below that bound takes c_n = 0 instead and is shifted
     by its exact maximum, so its largest exponential stays far from underflow.
-    The exponentials are multiplied in place by the decay, one pass over windows
-    of the [..., 2Ha-1, 2Wb-1] kernel product of a and b (``_decay_in_place``),
+    The exponentials are multiplied in place by the decay, one pass over each
+    block's one window of the [..., 2Ha-1, 2Wb-1] kernel product of a and b (``_decay_in_place``),
     and applied to v before the division by their row sum z. One log-sum-exp,
     c + log z, per query row is kept; the backward pass rebuilds both copies with
     the log-sum-exp as c, so each block's weights take two passes (a matmul, an
@@ -698,6 +695,7 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, decay: tuple[np.ndarray, 
     qd, kd, vd = (tokens_last(t.data) for t in (q, k, v))
     batch, length = qd.shape[:-2], qd.shape[-2]
     a = b = None
+    height, width = 1, length  # no decay: the keys are one grid row
     if decay is not None:
         a, b = decay
         if (not isinstance(a, np.ndarray) or not isinstance(b, np.ndarray) or a.ndim < 1 or b.ndim < 1
@@ -706,6 +704,7 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, decay: tuple[np.ndarray, 
                 or _broadcast(batch, a.shape[:-1], b.shape[:-1]) != batch):
             raise DimensionError(f"decay kernels {np.shape(a)} and {np.shape(b)} are not ndarrays of odd lengths "
                                  f"2Ha-1 and 2Wb-1 with Ha * Wb = {length} keys for batch {batch}")
+        height, width = (a.shape[-1] + 1) // 2, (b.shape[-1] + 1) // 2
 
     def kernel() -> np.ndarray | None:
         """The [..., 2Ha-1, 2Wb-1] kernel product of a and b, built once per pass over the blocks."""
@@ -717,7 +716,7 @@ def decayed_attention(q: Tensor, k: Tensor, v: Tensor, decay: tuple[np.ndarray, 
         return (np.concatenate((qs, -c), axis=-1),
                 np.concatenate((kd, np.ones(kd.shape[:-1] + (1,))), axis=-1).swapaxes(-1, -2))
     n_batch = int(np.prod(batch, dtype=np.int64))
-    blocks = _row_blocks(n_batch, length)
+    blocks = _row_blocks(n_batch, height, width)
     data = np.empty(q.shape[:-1] + v.shape[-1:])
     out = tokens_last(data)
     qs = qd * scale

@@ -3,9 +3,12 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masa_kit import (ConfigurationError, DimensionError, GridShape, MaSAConfig,
                       Tensor, UsageError, attention_score_apply_macs, backward, bi_retention,
@@ -553,8 +556,8 @@ def _fused_and_oracle(factors, scale, arrays):
 
 
 class TestDecayedAttention:
-    @pytest.mark.parametrize("block_elements", [1 << 20, 1, 37], ids=["one-block", "row-blocks",
-                                                                       "ragged-blocks"])
+    @pytest.mark.parametrize("block_elements", [1 << 20, 1, 37, 150], ids=[
+        "one-block", "row-blocks", "ragged-blocks", "whole-grid-row-blocks"])
     @pytest.mark.parametrize("name", _FUSED_CASES)
     def test_forward_and_gradients_match_composite_oracle(self, monkeypatch, name, block_elements):
         monkeypatch.setattr(tensor_module, "ATTENTION_BLOCK_ELEMENTS", block_elements)
@@ -579,9 +582,11 @@ class TestDecayedAttention:
 
     def test_ragged_budget_leaves_a_short_last_block(self, monkeypatch):
         monkeypatch.setattr(tensor_module, "ATTENTION_BLOCK_ELEMENTS", 37)
-        # grid-3x5: 37 // 15 = 2 rows a block; axis-1d: batch 3 of 5 keys, 37 // 15 = 2 rows
-        assert tensor_module._row_blocks(1, 15) == [(i, min(i + 2, 15)) for i in range(0, 15, 2)]
-        assert tensor_module._row_blocks(3, 5) == [(0, 2), (2, 4), (4, 5)]
+        # grid-3x5: a grid row is 5 * 15 logits, so each is cut into 37 // 15 = 2 query rows
+        # a block and a short last one; axis-1d: batch 3 of 5 keys, 37 // 15 = 2 rows
+        assert tensor_module._row_blocks(1, 3, 5) == [(y + x, y + min(x + 2, 5))
+                                                     for y in range(0, 15, 5) for x in range(0, 5, 2)]
+        assert tensor_module._row_blocks(3, 1, 5) == [(0, 2), (2, 4), (4, 5)]
 
     def test_axial_kernels_give_the_manhattan_decay(self):
         grid = GridShape(3, 5)
@@ -885,7 +890,7 @@ class TestFoldedShift:
         rng = np.random.default_rng(51)
         grid, d = GridShape(48, 48), 32
         q, k, v = (Tensor(rng.standard_normal((grid.size, d)), requires_grad=True) for _ in range(3))
-        rows = max(stop - start for start, stop in tensor_module._row_blocks(1, grid.size))
+        rows = max(stop - start for start, stop in tensor_module._row_blocks(1, 48, 48))
         tracemalloc.start()
         try:
             out = masa_full(q, k, v, grid, 0.9)
@@ -896,10 +901,20 @@ class TestFoldedShift:
         assert peak <= block + copies + out.data.nbytes + 2 ** 20
 
 
-def _decay_rows_by_every_split(w, kernel, length):
-    """w [..., L, L] decayed block by block for every block start..stop of its rows."""
-    for start in range(length):
-        for stop in range(start + 1, length + 1):
+_BUDGETS = [1, 2, 3, 5, 7, 15, 16, 1 << 20]
+
+
+def _decay_every_row_block(w, kernel, batch, height, width):
+    """w [..., L, L] decayed block by block, for every block ``_row_blocks`` makes under each budget.
+
+    Every budget below the batch * L logits of one query row gives one-query blocks,
+    so the budgets are swept as logits and again as query rows' worth of logits.
+    """
+    logits_per_row = batch * height * width
+    for budget in _BUDGETS + [rows * logits_per_row for rows in _BUDGETS[:-1]]:
+        with mock.patch.object(tensor_module, "ATTENTION_BLOCK_ELEMENTS", budget):
+            blocks = tensor_module._row_blocks(batch, height, width)
+        for start, stop in blocks:
             block = w[..., start:stop, :].copy()
             tensor_module._decay_in_place(block, kernel, start, stop)
             yield start, stop, block
@@ -912,7 +927,7 @@ class TestOnePassDecay:
         a, b = _kernels(height, width, 0.7)
         decay = decay_manhattan_2d(grid, 0.7).data
         w = np.random.default_rng(41).uniform(0, 1, (grid.size, grid.size))
-        for start, stop, block in _decay_rows_by_every_split(w, a[:, None] * b[None, :], grid.size):
+        for start, stop, block in _decay_every_row_block(w, a[:, None] * b[None, :], 1, height, width):
             assert np.max(np.abs(block - w[start:stop] * decay[start:stop])) < 1e-15
 
     def test_per_head_kernels_over_extra_batch_axes(self):
@@ -922,22 +937,40 @@ class TestOnePassDecay:
         kernel = (a[:, :, None] * b[:, None, :])[:, None]
         decay = np.stack([decay_manhattan_2d(grid, g).data for g in rates])[:, None]
         w = np.random.default_rng(42).uniform(0, 1, (3, 2, grid.size, grid.size))
-        for start, stop, block in _decay_rows_by_every_split(w, kernel, grid.size):
+        for start, stop, block in _decay_every_row_block(w, kernel, 6, 4, 4):
             expected = w[..., start:stop, :] * decay[..., start:stop, :]
             assert np.max(np.abs(block - expected)) < 1e-15
 
     def test_a_side_48_block_allocates_no_block_sized_temporary(self):
-        # a block of 455 rows starts and ends mid grid row; a gather of its rows would be 350 KB
+        # the second of six blocks, grid rows 9-17; a gather of its rows would be 330 KB
         a, b = _kernels(48, 48, 0.9)
         kernel = a[:, None] * b[None, :]
-        w = np.ones((455, 48 * 48))
+        start, stop = tensor_module._row_blocks(1, 48, 48)[1]
+        w = np.ones((stop - start, 48 * 48))
         tracemalloc.start()
         try:
-            tensor_module._decay_in_place(w, kernel, 20, 475)
+            tensor_module._decay_in_place(w, kernel, start, stop)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 10
+
+
+class TestRowBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(batch=st.integers(0, 8), height=st.integers(1, 12), width=st.integers(0, 12),
+           budget=st.integers(1, 20000))
+    def test_blocks_tile_the_rows_in_grid_rectangles_within_the_budget(self, batch, height, width, budget):
+        length = height * width
+        with mock.patch.object(tensor_module, "ATTENTION_BLOCK_ELEMENTS", budget):
+            blocks = tensor_module._row_blocks(batch, height, width)
+        edges = [0] + [stop for _, stop in blocks]
+        assert [start for start, _ in blocks] == edges[:-1] and edges[-1] == length
+        for start, stop in blocks:
+            assert start < stop
+            whole_rows = start % width == 0 and (stop - start) % width == 0
+            assert whole_rows or start // width == (stop - 1) // width
+            assert (stop - start) * batch * length <= max(budget, batch * length)
 
 
 # ---------------------------------------------------------------------------
